@@ -265,24 +265,35 @@ func BenchmarkSteadyAccessGeneration(b *testing.B) {
 	}
 }
 
+// BenchmarkGroupSamples groups one full-volume Carrefour-LP interval on
+// a warm scratch: 200k IBS samples from 8 nodes spread over 50k pages,
+// 20k of them 2 MB chunks and 30k the 4 KB pages of 600 split chunks.
 func BenchmarkGroupSamples(b *testing.B) {
-	m := topo.MachineA()
+	const count, chunks2M, pages4K, subsPerSplit = 200000, 20000, 30000, 50
+	m := topo.MachineB()
 	phys := mem.NewSystem(m, mem.LatencyParamsFor(m.Name))
 	space := vm.NewAddrSpace(m, phys, vm.DefaultFaultParams())
-	r := space.Mmap("bench", 64<<20, true)
+	r := space.Mmap("bench", uint64(chunks2M+pages4K/subsPerSplit)*uint64(mem.Size2M), true)
 	rng := stats.NewRng(1)
-	samples := make([]ibs.Sample, 50000)
+	samples := make([]ibs.Sample, count)
 	for i := range samples {
+		id := vm.PageID{Region: r, Chunk: rng.Intn(chunks2M + pages4K), Sub: -1}
+		if q := id.Chunk - chunks2M; q >= 0 {
+			id.Chunk, id.Sub = chunks2M+q/subsPerSplit, q%subsPerSplit*(vm.SubsPerChunk/subsPerSplit)
+		}
 		samples[i] = ibs.Sample{
-			Page:         vm.PageID{Region: r, Chunk: rng.Intn(32), Sub: -1},
-			AccessorNode: uint8(rng.Intn(4)),
-			DRAM:         true, Weight: 1,
+			Page: id, Weight: float64(1 + rng.Intn(4)), Thread: int32(rng.Intn(64)),
+			AccessorNode: uint8(rng.Intn(8)), HomeNode: uint8(rng.Intn(8)), DRAM: rng.Intn(8) != 0,
 		}
 	}
+	var gs carrefour.GroupScratch
+	gs.Group(samples, m.Nodes)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		carrefour.GroupSamples(samples, 4)
+		gs.Group(samples, m.Nodes)
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*count), "ns/sample")
 }
 
 func BenchmarkSingleRunCGD(b *testing.B) {

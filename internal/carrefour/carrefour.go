@@ -14,6 +14,8 @@ package carrefour
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"repro/internal/ibs"
 	"repro/internal/sim"
@@ -117,11 +119,17 @@ func (c *Carrefour) TickWith(env *sim.Env, v sim.View) float64 {
 	return overhead
 }
 
-// Apply performs one placement pass over the given samples (Carrefour-LP
-// calls this directly as Algorithm 1's line 20). It returns the cycles
-// spent migrating.
+// Apply performs one placement pass over the given samples. It returns
+// the cycles spent migrating.
 func (c *Carrefour) Apply(env *sim.Env, samples []ibs.Sample) float64 {
-	groups := c.scratch.Group(samples, env.Machine.Nodes)
+	return c.ApplyGroups(env, c.scratch.Group(samples, env.Machine.Nodes))
+}
+
+// ApplyGroups performs one placement pass over samples already grouped
+// by Group (Carrefour-LP calls this as Algorithm 1's line 20, reusing
+// the interval's grouping when it still names current pages). It
+// returns the cycles spent migrating.
+func (c *Carrefour) ApplyGroups(env *sim.Env, groups []PageGroup) float64 {
 	var cycles float64
 	ops := 0
 	for i := range groups {
@@ -192,6 +200,8 @@ type PageGroup struct {
 	Weight float64
 	// NodeWeight is the sampled access weight per accessor node.
 	NodeWeight []float64
+	// NodeMask has bit n set when a sample from accessor node n was seen.
+	NodeMask uint64
 	// ThreadMask records which threads were seen (64 max).
 	ThreadMask uint64
 	// LocalWeight is the weight of samples served node-locally.
@@ -199,20 +209,16 @@ type PageGroup struct {
 }
 
 // SingleNode reports whether all samples came from one accessor node.
+// It reads NodeMask, which equals the set of nodes with NodeWeight > 0
+// because Group clamps every sample weight to w > 0 — except for a NaN
+// weight (never produced by the sampler), whose node is in the mask
+// while its NaN NodeWeight is not > 0.
 func (g *PageGroup) SingleNode() (bool, topo.NodeID) {
-	seen := -1
-	for n, w := range g.NodeWeight {
-		if w > 0 {
-			if seen >= 0 {
-				return false, 0
-			}
-			seen = n
-		}
-	}
-	if seen < 0 {
+	m := g.NodeMask
+	if m == 0 || m&(m-1) != 0 {
 		return false, 0
 	}
-	return true, topo.NodeID(seen)
+	return true, topo.NodeID(bits.TrailingZeros64(m))
 }
 
 // Threads counts distinct sampled threads.
@@ -226,19 +232,41 @@ func (g *PageGroup) Threads() int {
 
 // GroupScratch owns the reusable state behind Group. Daemons group
 // 10⁴-10⁵ samples every decision interval; a persistent scratch turns
-// the per-tick map, key list, group blocks, node-weight slabs and
-// output slice into warm reused memory instead of a fresh multi-MB
-// allocation burst per tick (GroupSamples dominated whole-pass GC
-// profiles). The zero value is ready to use. Returned groups alias the
-// scratch and stay valid only until the next Group call.
+// the per-tick count tables, sample records, groups and node-weight
+// slab into warm reused memory instead of a fresh multi-MB allocation
+// burst per tick. The zero value is ready to use. Returned groups alias
+// the scratch and stay valid only until the next Group call.
 type GroupScratch struct {
-	idx    map[uint64]int32
-	keyed  []uint64
-	radix  []uint64
-	blocks [][]PageGroup
-	slabs  [][]float64
-	sorted []PageGroup
+	regions []regionCounts // indexed by region ID
+	recs    []groupRec
+	groups  []PageGroup
+	weights []float64
+	slot    [subSlots]int32
+	present [subWords]uint64
 }
+
+// regionCounts is one region's dense per-chunk table. Between Group
+// calls every entry is zero and r is nil.
+type regionCounts struct {
+	r      *vm.Region
+	counts []int32
+	lo, hi int // touched chunk range, valid while r != nil
+}
+
+// groupRec is one DRAM sample reduced to what its group accumulates.
+type groupRec struct {
+	w    float64
+	sub1 uint16 // Sub+1: 0 for a whole 2 MB/1 GB chunk, 1..512 for a 4 KB page
+	node uint8
+	tl   uint8 // thread%64 in bits 0-5, bit 6 when the thread sets a mask bit, bit 7 when local
+}
+
+const (
+	subSlots  = 1 + vm.SubsPerChunk // Sub+1 values: the whole chunk plus its 4 KB pages
+	subWords  = (subSlots + 63) / 64
+	recThread = 1 << 6
+	recLocal  = 1 << 7
+)
 
 // GroupSamples buckets DRAM-serviced samples by page, in a deterministic
 // order (region, chunk, sub). Only DRAM samples are considered, so that
@@ -248,52 +276,60 @@ func GroupSamples(samples []ibs.Sample, nodes int) []PageGroup {
 	return gs.Group(samples, nodes)
 }
 
-// Group is GroupSamples on reusable scratch; identical output (the
-// algorithm and its deterministic ordering are unchanged), no
-// steady-state allocation once the scratch is warm.
+// Group is GroupSamples on reusable scratch; no steady-state allocation
+// once the scratch is warm.
+//
+// It is a counting sort bucketed by chunk: DRAM samples are counted
+// into a dense per-region table indexed by chunk, the counts become
+// offsets in (region ID, chunk) order, and each sample is scattered
+// stably into a compact record at its chunk's offset. Each chunk's
+// pages then take group slots in ascending sub order, and each group
+// sums its own samples in sample order. So the output order and every
+// floating-point sum match a map-and-sort grouping exactly. Region IDs
+// must identify regions uniquely, as they do within one address space.
 func (gs *GroupScratch) Group(samples []ibs.Sample, nodes int) []PageGroup {
-	// Pages are identified by a packed (region, chunk, sub) key whose
-	// uint64 ordering equals the tuple ordering, so one integer both
-	// addresses the dedup map (cheaper to hash than a struct key) and
-	// sorts the result. Daemons drain 10⁵+ samples per interval; this
-	// function is the hottest daemon code in whole-pass profiles.
-	if gs.idx == nil {
-		gs.idx = make(map[uint64]int32, 4096)
-	} else {
-		clear(gs.idx)
+	if nodes > 64 {
+		panic(fmt.Sprintf("carrefour: %d nodes overflow the 64-bit node mask", nodes))
 	}
-	idx := gs.idx
-	// Groups accumulate in fixed-size blocks: growing a flat slice would
-	// re-copy every ~80-byte struct on each doubling, which dominated
-	// profiles at 10⁵ groups per interval. Blocks and node-weight slabs
-	// persist across calls; only their lengths reset.
-	for i := range gs.blocks {
-		gs.blocks[i] = gs.blocks[i][:0]
-	}
-	blocks := gs.blocks
-	nGroups := int32(0)
-	keyed := gs.keyed[:0] // key<<groupIdxBits | group index
-	// Shared backing for the per-group NodeWeight slices, carved from a
-	// list of reused slabs.
-	slabIdx := -1
-	var slab []float64
-	nextSlab := func() {
-		if slabIdx >= 0 {
-			gs.slabs[slabIdx] = slab
+	// Count DRAM samples per chunk.
+	n := 0
+	for i := range samples {
+		s := &samples[i]
+		if !s.DRAM {
+			continue
 		}
-		slabIdx++
-		if slabIdx < len(gs.slabs) && cap(gs.slabs[slabIdx]) >= groupBlock*nodes {
-			slab = gs.slabs[slabIdx][:0]
-			return
+		if int(s.AccessorNode) >= nodes || s.Page.Sub < -1 || s.Page.Sub >= subSlots-1 {
+			panic(fmt.Sprintf("carrefour: sample outside the grouping key space (node %d of %d, sub %d)", s.AccessorNode, nodes, s.Page.Sub))
 		}
-		slab = make([]float64, 0, groupBlock*nodes)
-		if slabIdx < len(gs.slabs) {
-			gs.slabs[slabIdx] = slab
+		rc := gs.region(s.Page.Region)
+		c := s.Page.Chunk
+		if c >= len(rc.counts) {
+			rc.counts = append(rc.counts, make([]int32, c+1-len(rc.counts))...)
+		}
+		if rc.r == nil {
+			rc.r, rc.lo, rc.hi = s.Page.Region, c, c
 		} else {
-			gs.slabs = append(gs.slabs, slab)
+			rc.lo, rc.hi = min(rc.lo, c), max(rc.hi, c)
+		}
+		rc.counts[c]++
+		n++
+	}
+	// Counts become start offsets in (region ID, chunk) order.
+	off := int32(0)
+	for ri := range gs.regions {
+		rc := &gs.regions[ri]
+		if rc.r == nil {
+			continue
+		}
+		counts := rc.counts[rc.lo : rc.hi+1]
+		for c, k := range counts {
+			counts[c] = off
+			off += k
 		}
 	}
-	nextSlab()
+	// Scatter stably; afterwards each count is its chunk's end offset.
+	gs.recs = slices.Grow(gs.recs[:0], n)
+	recs := gs.recs[:n]
 	for i := range samples {
 		s := &samples[i]
 		if !s.DRAM {
@@ -303,131 +339,114 @@ func (gs *GroupScratch) Group(samples []ibs.Sample, nodes int) []PageGroup {
 		if w <= 0 {
 			w = 1
 		}
-		key := packPageKey(s.Page.Region.ID, s.Page.Chunk, s.Page.Sub)
-		gi, ok := idx[key]
-		if !ok {
-			if int(nGroups) >= maxKeyGroups {
-				panic("carrefour: group count overflows the sort-key index bits")
-			}
-			gi = nGroups
-			nGroups++
-			idx[key] = gi
-			if len(slab)+nodes > cap(slab) {
-				nextSlab()
-			}
-			nw := slab[len(slab) : len(slab)+nodes : len(slab)+nodes]
-			slab = slab[:len(slab)+nodes]
-			for j := range nw {
-				nw[j] = 0
-			}
-			if int(gi)>>groupBlockShift == len(blocks) {
-				blocks = append(blocks, make([]PageGroup, 0, groupBlock))
-			}
-			b := &blocks[gi>>groupBlockShift]
-			*b = append(*b, PageGroup{Page: s.Page, NodeWeight: nw})
-			keyed = append(keyed, key<<groupIdxBits|uint64(gi))
+		// A negative thread sets a mask bit only when it is a multiple of
+		// 64, as 1<<uint(Thread%64) does.
+		var tl uint8
+		if t := s.Thread % 64; t >= 0 {
+			tl = uint8(t) | recThread
 		}
-		g := &blocks[gi>>groupBlockShift][gi&(groupBlock-1)]
-		g.Count++
-		g.Weight += w
-		g.NodeWeight[s.AccessorNode] += w
-		g.ThreadMask |= 1 << uint(s.Thread%64)
 		if s.Local() {
-			g.LocalWeight += w
+			tl |= recLocal
 		}
+		counts := gs.regions[s.Page.Region.ID].counts
+		pos := &counts[s.Page.Chunk]
+		recs[*pos] = groupRec{w: w, sub1: uint16(s.Page.Sub + 1), node: s.AccessorNode, tl: tl}
+		*pos++
 	}
-	gs.blocks = blocks
-	gs.keyed = keyed
-	gs.slabs[slabIdx] = slab
-	// Sort the packed (key, group index) words — an LSD radix sort over
-	// only the digit positions the keys actually populate (sorting is
-	// the hottest line of whole-pass profiles; a comparison sort re-reads
-	// every word log n times). Radix and comparison sorts agree exactly:
-	// the packed words are distinct, so the order is total either way.
-	gs.radixSort(keyed)
-	if cap(gs.sorted) < int(nGroups) {
-		gs.sorted = make([]PageGroup, nGroups)
-	}
-	sorted := gs.sorted[:nGroups]
-	for i, kg := range keyed {
-		gi := int32(kg & (1<<groupIdxBits - 1))
-		sorted[i] = blocks[gi>>groupBlockShift][gi&(groupBlock-1)]
-	}
-	return sorted
-}
-
-// groupBlock is the accumulation block size of GroupSamples.
-const (
-	groupBlockShift = 12
-	groupBlock      = 1 << groupBlockShift
-)
-
-// radixSort orders the packed (key, group index) words ascending with
-// an LSD counting sort, 11 bits per pass, skipping digit positions that
-// are zero across all words (group indices occupy the low 21 bits and
-// keys rarely use their high bits, so 2-3 of the 6 possible passes
-// remain). The scratch buffer persists on the GroupScratch.
-func (gs *GroupScratch) radixSort(keyed []uint64) {
-	const digitBits = 11
-	const buckets = 1 << digitBits
-	if len(keyed) == 0 {
-		return
-	}
-	var all uint64
-	for _, k := range keyed {
-		all |= k
-	}
-	if cap(gs.radix) < len(keyed) {
-		gs.radix = make([]uint64, len(keyed))
-	}
-	src, dst := keyed, gs.radix[:len(keyed)]
-	var count [buckets]int32
-	for shift := uint(0); shift < 64; shift += digitBits {
-		if all>>shift == 0 {
-			break
-		}
-		if (all>>shift)&(buckets-1) == 0 {
+	// Count each chunk's pages, so the groups and their node weights are
+	// sized once rather than grown.
+	total, start := 0, int32(0)
+	for ri := range gs.regions {
+		rc := &gs.regions[ri]
+		if rc.r == nil {
 			continue
 		}
-		clear(count[:])
-		for _, k := range src {
-			count[(k>>shift)&(buckets-1)]++
+		for _, end := range rc.counts[rc.lo : rc.hi+1] {
+			if end != start {
+				total += gs.markPages(recs[start:end])
+				gs.present = [subWords]uint64{}
+				start = end
+			}
 		}
-		sum := int32(0)
-		for i := range count {
-			c := count[i]
-			count[i] = sum
-			sum += c
-		}
-		for _, k := range src {
-			d := (k >> shift) & (buckets - 1)
-			dst[count[d]] = k
-			count[d]++
-		}
-		src, dst = dst, src
 	}
-	if &src[0] != &keyed[0] {
-		copy(keyed, src)
+	gs.groups = slices.Grow(gs.groups[:0], total)
+	gs.weights = slices.Grow(gs.weights[:0], total*nodes)
+	groups, weights := gs.groups[:total], gs.weights[:total*nodes]
+	clear(weights)
+	// Group each chunk's records, resetting the tables as they drain.
+	next, start := 0, int32(0)
+	for ri := range gs.regions {
+		rc := &gs.regions[ri]
+		if rc.r == nil {
+			continue
+		}
+		counts := rc.counts[rc.lo : rc.hi+1]
+		for c, end := range counts {
+			counts[c] = 0
+			if end != start {
+				next = gs.groupChunk(groups, weights, next, recs[start:end], vm.PageID{Region: rc.r, Chunk: rc.lo + c}, nodes)
+				start = end
+			}
+		}
+		rc.r = nil
 	}
+	return groups
 }
 
-// Packed page-key layout: region(12 bits) | chunk(20) | sub+1(10) sorts
-// identically to the (region, chunk, sub) tuple, and leaves 21 low bits
-// to carry a group index through the sort (2 M groups, comfortably above
-// the IBS buffer bound of 8 nodes × 200 K samples). The guards keep the
-// packing honest if workloads ever outgrow it.
-const (
-	subKeyBits   = 10
-	chunkKeyBits = 20
-	groupIdxBits = 21
-	maxKeyRegion = 1 << 12
-	maxKeyChunk  = 1 << chunkKeyBits
-	maxKeyGroups = 1 << groupIdxBits
-)
-
-func packPageKey(region, chunk, sub int) uint64 {
-	if region >= maxKeyRegion || chunk >= maxKeyChunk || sub+1 >= 1<<subKeyBits {
-		panic(fmt.Sprintf("carrefour: page key overflow (region %d, chunk %d, sub %d)", region, chunk, sub))
+// region returns r's count table, growing the region index on first
+// sight of an ID.
+func (gs *GroupScratch) region(r *vm.Region) *regionCounts {
+	if r.ID >= len(gs.regions) {
+		gs.regions = append(gs.regions, make([]regionCounts, r.ID+1-len(gs.regions))...)
 	}
-	return uint64(region)<<(subKeyBits+chunkKeyBits) | uint64(chunk)<<subKeyBits | uint64(sub+1)
+	return &gs.regions[r.ID]
+}
+
+// markPages marks the subs of one chunk's records in present and
+// returns how many distinct pages they name.
+func (gs *GroupScratch) markPages(recs []groupRec) int {
+	for i := range recs {
+		s := recs[i].sub1
+		gs.present[s>>6] |= 1 << (s & 63)
+	}
+	n := 0
+	for _, m := range gs.present {
+		n += bits.OnesCount64(m)
+	}
+	return n
+}
+
+// groupChunk fills the groups of one chunk's records from groups[next]
+// on and returns the next free index: pages take slots in ascending sub
+// order, then every record accumulates into its page's group in sample
+// order.
+func (gs *GroupScratch) groupChunk(groups []PageGroup, weights []float64, next int, recs []groupRec, page vm.PageID, nodes int) int {
+	gs.markPages(recs)
+	for wi := range gs.present {
+		for m := gs.present[wi]; m != 0; m &= m - 1 {
+			s := wi<<6 | bits.TrailingZeros64(m)
+			gs.slot[s] = int32(next)
+			page.Sub = s - 1
+			g := &groups[next]
+			g.Page, g.NodeWeight = page, weights[next*nodes:(next+1)*nodes:(next+1)*nodes]
+			g.Count, g.Weight, g.NodeMask, g.ThreadMask, g.LocalWeight = 0, 0, 0, 0, 0
+			next++
+		}
+		gs.present[wi] = 0
+	}
+	for i := range recs {
+		r := &recs[i]
+		g := &groups[gs.slot[r.sub1]]
+		g.Count++
+		g.Weight += r.w
+		g.NodeWeight[r.node] += r.w
+		g.NodeMask |= 1 << r.node
+		if r.tl&recThread != 0 {
+			g.ThreadMask |= 1 << (r.tl & 63)
+		}
+		if r.tl&recLocal != 0 {
+			g.LocalWeight += r.w
+		}
+	}
+	return next
 }

@@ -1,7 +1,6 @@
 package carrefour
 
 import (
-	"slices"
 	"testing"
 
 	"repro/internal/cache"
@@ -177,32 +176,5 @@ func TestStaleSamplesSkipped(t *testing.T) {
 	r.SplitChunk(4, env.Costs)
 	if cyc := c.Apply(env, samples); cyc != 0 {
 		t.Fatal("stale 2M sample should not migrate a split chunk")
-	}
-}
-
-// TestRadixSortMatchesSlicesSort pins the Group sort replacement: the
-// LSD radix sort must order any keyed word set exactly as the
-// comparison sort it replaced, including empty input, single elements,
-// duplicate high digits and words that populate the full key width.
-func TestRadixSortMatchesSlicesSort(t *testing.T) {
-	rng := uint64(0x9E3779B97F4A7C15)
-	next := func() uint64 {
-		rng = rng*6364136223846793005 + 1442695040888963407
-		return rng
-	}
-	var gs GroupScratch
-	for _, n := range []int{0, 1, 2, 3, 17, 1000, 50000} {
-		for _, width := range []uint{21, 33, 43, 63} {
-			got := make([]uint64, n)
-			for i := range got {
-				got[i] = next() >> (64 - width)
-			}
-			want := slices.Clone(got)
-			slices.Sort(want)
-			gs.radixSort(got)
-			if !slices.Equal(got, want) {
-				t.Fatalf("n=%d width=%d: radix order diverges from comparison sort", n, width)
-			}
-		}
 	}
 }

@@ -158,24 +158,33 @@ func (lp *LP) TickWith(env *sim.Env, v sim.View) float64 {
 		}
 	}
 
+	var groups, subGroups []carrefour.PageGroup
 	if lp.Reactive {
-		overhead += lp.reactive(env, samples)
+		var cycles float64
+		groups, subGroups, cycles = lp.reactive(env, samples)
+		overhead += cycles
 	}
 
 	// Line 20: interleave and migrate pages with Carrefour.
-	overhead += lp.Car.Apply(env, rebindInto(&lp.remapBuf, samples))
+	overhead += placeRebound(lp.Car, env, samples, &lp.remapBuf, groups, subGroups)
 	return overhead
 }
 
-// reactive implements lines 10-19.
-func (lp *LP) reactive(env *sim.Env, samples []ibs.Sample) float64 {
+// reactive implements lines 10-19. It returns the interval's groupings
+// at the sampled granularity and in the 4 KB what-if, and the cycles
+// spent splitting.
+func (lp *LP) reactive(env *sim.Env, samples []ibs.Sample) (groups, subGroups []carrefour.PageGroup, cycles float64) {
 	nodes := env.Machine.Nodes
-	groups := lp.groupScratch.Group(samples, nodes)
-	subGroups := lp.subScratch.Group(remapTo4KInto(&lp.remapBuf, samples), nodes)
-
+	groups = lp.groupScratch.Group(samples, nodes)
 	cur := sampledLAR(groups)
 	carLAR := estimatePlacementLAR(groups, nodes)
-	splitLAR := estimatePlacementLAR(subGroups, nodes)
+	// Without a large-page DRAM sample the 4 KB what-if is the sampled
+	// view itself.
+	subGroups, splitLAR := groups, carLAR
+	if anyLargeDRAM(samples) {
+		subGroups = lp.subScratch.Group(remapTo4KInto(&lp.remapBuf, samples), nodes)
+		splitLAR = estimatePlacementLAR(subGroups, nodes)
+	}
 	lp.lastEstCur, lp.lastEstCar, lp.lastEstSpl = cur, carLAR, splitLAR
 
 	// Lines 10-14.
@@ -185,7 +194,6 @@ func (lp *LP) reactive(env *sim.Env, samples []ibs.Sample) float64 {
 		lp.splitPages = true
 	}
 
-	var cycles float64
 	allocOff := lp.thp != nil && !lp.thp.AllocEnabled()
 
 	// Lines 15-18: split all shared 2 MB pages; disable 2 MB allocation.
@@ -245,7 +253,17 @@ func (lp *LP) reactive(env *sim.Env, samples []ibs.Sample) float64 {
 			}
 		}
 	}
-	return cycles
+	return groups, subGroups, cycles
+}
+
+// anyLargeDRAM reports whether a DRAM sample names a 2 MB or 1 GB page.
+func anyLargeDRAM(samples []ibs.Sample) bool {
+	for i := range samples {
+		if samples[i].DRAM && samples[i].Page.Sub < 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // sampledLAR is the current LAR as visible in the DRAM samples.
@@ -300,13 +318,35 @@ func remapTo4KInto(buf *[]ibs.Sample, samples []ibs.Sample) []ibs.Sample {
 	out := resizeSamples(buf, len(samples))
 	copy(out, samples)
 	for i := range out {
-		if p := &out[i]; p.Page.Sub < 0 {
-			chunk := int(p.Off / uint64(mem.Size2M))
-			sub := int(p.Off % uint64(mem.Size2M) / uint64(mem.Size4K))
-			p.Page = vm.PageID{Region: p.Page.Region, Chunk: chunk, Sub: sub}
-		}
+		out[i].Page = page4K(&out[i])
 	}
 	return out
+}
+
+// page4K is the sample's 4 KB page: its own page when that is 4 KB,
+// else the 4 KB sub-page of its large page holding the access.
+func page4K(s *ibs.Sample) vm.PageID {
+	if s.Page.Sub >= 0 {
+		return s.Page
+	}
+	return vm.PageID{Region: s.Page.Region, Chunk: int(s.Off / uint64(mem.Size2M)), Sub: int(s.Off % uint64(mem.Size2M) / uint64(mem.Size4K))}
+}
+
+// currentPage is the page that backs the sample's address now, at its
+// current mapping granularity; an unmapped chunk keeps the sampled page.
+func currentPage(s *ibs.Sample) vm.PageID {
+	r := s.Page.Region
+	chunk := int(s.Off / uint64(mem.Size2M))
+	info := r.ChunkInfo(chunk)
+	switch info.State {
+	case vm.Mapped4K:
+		return vm.PageID{Region: r, Chunk: chunk, Sub: int(s.Off % uint64(mem.Size2M) / uint64(mem.Size4K))}
+	case vm.Mapped2M:
+		return vm.PageID{Region: r, Chunk: chunk, Sub: -1}
+	case vm.Mapped1G:
+		return vm.PageID{Region: r, Chunk: info.GiantHead, Sub: -1}
+	}
+	return s.Page
 }
 
 // rebindInto refreshes sample page identities after splits so
@@ -316,18 +356,46 @@ func rebindInto(buf *[]ibs.Sample, samples []ibs.Sample) []ibs.Sample {
 	out := resizeSamples(buf, len(samples))
 	copy(out, samples)
 	for i := range out {
-		p := &out[i]
-		r := p.Page.Region
-		chunk := int(p.Off / uint64(mem.Size2M))
-		info := r.ChunkInfo(chunk)
-		switch info.State {
-		case vm.Mapped4K:
-			p.Page = vm.PageID{Region: r, Chunk: chunk, Sub: int(p.Off % uint64(mem.Size2M) / uint64(mem.Size4K))}
-		case vm.Mapped2M:
-			p.Page = vm.PageID{Region: r, Chunk: chunk, Sub: -1}
-		case vm.Mapped1G:
-			p.Page = vm.PageID{Region: r, Chunk: info.GiantHead, Sub: -1}
-		}
+		out[i].Page = currentPage(&out[i])
 	}
 	return out
+}
+
+// placeRebound runs Carrefour's placement pass on the samples rebound
+// to current granularities, reusing a grouping the interval already
+// holds when it is the rebound one (see reusableGrouping).
+func placeRebound(car *carrefour.Carrefour, env *sim.Env, samples []ibs.Sample, buf *[]ibs.Sample, sampled, split4K []carrefour.PageGroup) float64 {
+	if groups := reusableGrouping(samples, sampled, split4K); groups != nil {
+		return car.ApplyGroups(env, groups)
+	}
+	return car.Apply(env, rebindInto(buf, samples))
+}
+
+// reusableGrouping returns the interval's grouping that equals a fresh
+// grouping of the rebound samples, or nil. Grouping depends only on the
+// DRAM samples' pages, so sampled (the grouping at the sampled pages)
+// qualifies when every DRAM sample's current page is its sampled page,
+// and split4K (the 4 KB what-if) when it is its 4 KB page. Either may
+// be nil when the interval did not compute it.
+func reusableGrouping(samples []ibs.Sample, sampled, split4K []carrefour.PageGroup) []carrefour.PageGroup {
+	same, same4K := sampled != nil, split4K != nil
+	for i := range samples {
+		if !same && !same4K {
+			return nil
+		}
+		s := &samples[i]
+		if !s.DRAM {
+			continue
+		}
+		p := currentPage(s)
+		same = same && p == s.Page
+		same4K = same4K && p == page4K(s)
+	}
+	switch {
+	case same:
+		return sampled
+	case same4K:
+		return split4K
+	}
+	return nil
 }

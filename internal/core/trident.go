@@ -115,19 +115,20 @@ func (tr *Trident) MaybeTick(env *sim.Env, now float64) float64 {
 func (tr *Trident) TickWith(env *sim.Env, v sim.View) float64 {
 	tr.tick++
 	overhead := tr.Car.Cfg.PassCycles + float64(len(v.Samples))*tr.Car.Cfg.CyclesPerSample
-	overhead += tr.demote(env, v.Samples)
+	groups := tr.groupScratch.Group(v.Samples, env.Machine.Nodes)
+	overhead += tr.demote(env, v.Samples, groups)
 	if v.Window.PTWSharePct > tr.Cfg.PromotePTWSharePct {
 		overhead += tr.promote(env)
 	}
 	// Placement at the current granularity (Carrefour skips 1 GB pages:
 	// they are not migratable, which is exactly why demotion exists).
-	overhead += tr.Car.Apply(env, rebindInto(&tr.remapBuf, v.Samples))
+	overhead += placeRebound(tr.Car, env, v.Samples, &tr.remapBuf, groups, nil)
 	return overhead
 }
 
-// demote splits NUMA-harmful 1 GB pages down to 2 MB.
-func (tr *Trident) demote(env *sim.Env, samples []ibs.Sample) float64 {
-	groups := tr.groupScratch.Group(samples, env.Machine.Nodes)
+// demote splits NUMA-harmful 1 GB pages down to 2 MB, given the
+// interval's samples and their grouping.
+func (tr *Trident) demote(env *sim.Env, samples []ibs.Sample, groups []carrefour.PageGroup) float64 {
 	var total float64
 	any := false
 	for i := range groups {
