@@ -7,9 +7,11 @@
 //	lpnuma run -m A -w CG.D -p THP      # one simulation, metrics to stdout
 //	lpnuma experiment fig1 [-scale 0.3] # regenerate a figure or table
 //	lpnuma all [-scale 0.3] [-j 8]      # regenerate everything (EXPERIMENTS.md source)
-//	lpnuma bench [-scale 0.1] [-j 8]    # timed sweep, JSON perf report (BENCH_lpnuma.json)
 //	lpnuma serve [-addr :8080]          # HTTP/JSON simulation daemon
-//	lpnuma servebench [-duration 10s]   # daemon load test, JSON report (BENCH_serve.json)
+//
+// Performance is measured outside this command: the lpbench harness
+// (bash lpbench/run.sh) times end-to-end passes and daemon requests,
+// and `go test -bench` covers the engine's hot paths.
 //
 // The experiment and all subcommands share one sweep scheduler: the
 // union of every requested cell is deduplicated and each unique
@@ -75,12 +77,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return exitCode(runExperiments(args[2:], stdout, stderr, args[1]), stderr)
 	case "all":
 		return exitCode(runExperiments(args[1:], stdout, stderr, lpnuma.Experiments()...), stderr)
-	case "bench":
-		return exitCode(runBench(args[1:], stdout, stderr), stderr)
 	case "serve":
 		return exitCode(runServe(args[1:], stderr), stderr)
-	case "servebench":
-		return exitCode(runServeBench(args[1:], stdout, stderr), stderr)
 	default:
 		usage(stderr)
 		return 2
@@ -122,7 +120,7 @@ func parseFlags(fs *flag.FlagSet, args []string, stderr io.Writer) error {
 }
 
 func usage(w io.Writer) {
-	fmt.Fprintln(w, "usage: lpnuma {list|run|experiment <id>|all|bench|serve|servebench} [flags]")
+	fmt.Fprintln(w, "usage: lpnuma {list|run|experiment <id>|all|serve} [flags]")
 }
 
 // profileFlags are the -cpuprofile/-memprofile options every simulating

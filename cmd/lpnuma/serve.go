@@ -2,21 +2,16 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"net"
 	"os"
 	"os/signal"
-	"runtime"
-	"sort"
-	"sync"
 	"syscall"
 	"time"
 
 	"repro/internal/serve"
-	"repro/internal/serve/client"
 )
 
 // runServe is the lpnuma daemon: it serves simulations over HTTP/JSON
@@ -70,176 +65,5 @@ func runServe(args []string, stderr io.Writer) error {
 	tot := srv.Scheduler().Totals()
 	fmt.Fprintf(stderr, "drained cleanly: %d requests, %d simulated, %d memory hits, %d disk hits\n",
 		tot.Requested, tot.Runs, tot.Hits, tot.DiskHits)
-	return nil
-}
-
-// serveBenchReport is the machine-readable result of `lpnuma
-// servebench` (bench schema version 5, suite "serve"): cached
-// request/response throughput and tail latency of the daemon under
-// concurrent load, plus how long the post-load drain took.
-type serveBenchReport struct {
-	SchemaVersion int    `json:"schema_version"`
-	Suite         string `json:"suite"`
-	Bench         string `json:"bench"`
-	GoVersion     string `json:"go_version"`
-	GOOS          string `json:"goos"`
-	GOARCH        string `json:"goarch"`
-	GOMAXPROCS    int    `json:"gomaxprocs"`
-	NumCPU        int    `json:"num_cpu"`
-	Workers       int    `json:"workers"`
-	Clients       int    `json:"clients"`
-	// DurationSeconds is the measured load window (excludes warmup).
-	DurationSeconds float64 `json:"duration_seconds"`
-	Requests        uint64  `json:"requests"`
-	Errors          uint64  `json:"errors"`
-	// Shed counts 429 answers; under a cached workload the daemon
-	// should shed little, under saturation this is the safety valve.
-	Shed              uint64  `json:"shed"`
-	RequestsPerSecond float64 `json:"requests_per_second"`
-	P50Millis         float64 `json:"p50_ms"`
-	P99Millis         float64 `json:"p99_ms"`
-	// DrainSeconds is the wall time from cancel to Serve returning
-	// with the load still arriving — the graceful-shutdown cost.
-	DrainSeconds float64 `json:"drain_seconds"`
-}
-
-// runServeBench load-tests an in-process daemon: warm one cell, hammer
-// it with -clients concurrent clients for -duration, then shut down
-// under load and measure the drain. The workload is answered from
-// cache, so the numbers measure the serving path (admission, JSON,
-// single-flight join), not the simulator.
-func runServeBench(args []string, stdout, stderr io.Writer) (retErr error) {
-	fs := flag.NewFlagSet("servebench", flag.ContinueOnError)
-	clients := fs.Int("clients", 8, "concurrent load-generating clients")
-	duration := fs.Duration("duration", 10*time.Second, "measured load window")
-	jobs := fs.Int("j", 0, "daemon worker count (0 = host CPU count)")
-	out := fs.String("o", "BENCH_serve.json", "output JSON path (- for stdout)")
-	if err := parseFlags(fs, args, stderr); err != nil {
-		return err
-	}
-	if len(fs.Args()) > 0 {
-		fmt.Fprintf(stderr, "unexpected arguments: %v\n", fs.Args())
-		return errFlagParse
-	}
-	if *clients < 1 {
-		fmt.Fprintf(stderr, "-clients must be >= 1, got %d\n", *clients)
-		return errFlagParse
-	}
-
-	srv, err := serve.New(serve.Config{Workers: *jobs, MaxInflight: 2 * *clients})
-	if err != nil {
-		return err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		srv.Close()
-		return err
-	}
-	srvCtx, stopSrv := context.WithCancel(context.Background())
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve(srvCtx, ln) }()
-
-	base := "http://" + ln.Addr().String()
-	cell := serve.RunRequest{Machine: "A", Workload: "EP.C", Policy: "Linux4K", Seed: 1, Scale: 0.02}
-	warm := client.New(base, client.Config{})
-	if _, err := warm.Run(context.Background(), cell); err != nil {
-		stopSrv()
-		<-serveDone
-		return fmt.Errorf("warmup: %w", err)
-	}
-
-	// The load window: every client re-requests the warmed cell; a
-	// client that sees an error records it and keeps going.
-	var (
-		mu        sync.Mutex
-		latencies []float64
-		requests  uint64
-		errCount  uint64
-	)
-	loadCtx, stopLoad := context.WithTimeout(context.Background(), *duration)
-	defer stopLoad()
-	var wg sync.WaitGroup
-	start := time.Now()
-	for i := 0; i < *clients; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c := client.New(base, client.Config{MaxRetries: 0, RequestTimeout: 10 * time.Second})
-			var myLat []float64
-			var myReq, myErr uint64
-			for loadCtx.Err() == nil {
-				t0 := time.Now()
-				_, runErr := c.Run(loadCtx, cell)
-				if loadCtx.Err() != nil {
-					break // window closed mid-request; don't count it
-				}
-				myReq++
-				if runErr != nil {
-					myErr++
-				} else {
-					myLat = append(myLat, time.Since(t0).Seconds()*1000)
-				}
-			}
-			mu.Lock()
-			latencies = append(latencies, myLat...)
-			requests += myReq
-			errCount += myErr
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	window := time.Since(start).Seconds()
-
-	// Shut down under no load and measure the drain.
-	stats, statsErr := warm.Stats(context.Background())
-	drainStart := time.Now()
-	stopSrv()
-	if err := <-serveDone; err != nil {
-		return fmt.Errorf("drain: %w", err)
-	}
-	drain := time.Since(drainStart).Seconds()
-	if statsErr != nil {
-		return fmt.Errorf("stats: %w", statsErr)
-	}
-
-	sort.Float64s(latencies)
-	rep := serveBenchReport{
-		SchemaVersion:   benchSchemaVersion,
-		Suite:           "serve",
-		Bench:           "serve-cached-run",
-		GoVersion:       runtime.Version(),
-		GOOS:            runtime.GOOS,
-		GOARCH:          runtime.GOARCH,
-		GOMAXPROCS:      runtime.GOMAXPROCS(0),
-		NumCPU:          runtime.NumCPU(),
-		Workers:         srv.Scheduler().Workers(),
-		Clients:         *clients,
-		DurationSeconds: window,
-		Requests:        requests,
-		Errors:          errCount,
-		Shed:            stats.Shed,
-		DrainSeconds:    drain,
-	}
-	if window > 0 {
-		rep.RequestsPerSecond = float64(requests) / window
-	}
-	if n := len(latencies); n > 0 {
-		rep.P50Millis = latencies[n/2]
-		rep.P99Millis = latencies[min(n-1, n*99/100)]
-	}
-	enc, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	enc = append(enc, '\n')
-	if *out == "-" {
-		_, err = stdout.Write(enc)
-		return err
-	}
-	if err := os.WriteFile(*out, enc, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(stderr, "servebench: %.0f req/s over %d clients (p50 %.2fms, p99 %.2fms, %d errors, %d shed), drained in %.3fs; wrote %s\n",
-		rep.RequestsPerSecond, rep.Clients, rep.P50Millis, rep.P99Millis, rep.Errors, rep.Shed, rep.DrainSeconds, *out)
 	return nil
 }

@@ -1,11 +1,11 @@
 package sim
 
-// Epoch-level benchmark harness behind `lpnuma bench`'s
-// analytic-incremental suite. The committed BENCH_lpnuma.json tracks
-// the per-epoch cost of the analytic pricing stage across commits, and
-// that number lives inside the engine (a steady epoch, not a whole
-// run: whole runs are dominated by the full-fidelity allocation phase
-// and the shared merge stage, which both modes execute identically).
+// Epoch-level benchmark harness behind lpbench's sim.epoch_full_us and
+// sim.epoch_quiet_us metrics. They track the per-epoch cost of the
+// analytic pricing stage across builds, and that number lives inside
+// the engine (a steady epoch, not a whole run: whole runs are dominated
+// by the full-fidelity allocation phase and the shared merge stage,
+// which both modes execute identically).
 // The harness reuses the exact pricing entry points the engine's own
 // epoch loop calls, so what it times is what runs.
 

@@ -9,7 +9,7 @@ package sim
 // branch-not-taken loads per epoch:
 //
 //   - SetPhaseTracking accumulates host wall seconds per phase across
-//     every engine in the process (lpnuma bench reports the breakdown).
+//     every engine in the process (lpbench reports the breakdown).
 //   - SetPhaseLabels tags the executing goroutine with a pprof label
 //     ("lpnuma_phase": alloc | steady-price | merge | daemon) at each
 //     phase boundary, so `go tool pprof -tagfocus` can slice a CPU

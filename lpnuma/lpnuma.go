@@ -99,9 +99,9 @@ type EpochBenchResult = sim.EpochBenchResult
 
 // BenchAnalyticEpoch times one steady-state pricing epoch of the named
 // cell in analytic mode, both with full recomputation (the DESIGN.md
-// §4.7 baseline) and through the §4.10 quiescent fast path. This is the
-// engine-level number `lpnuma bench` records in its
-// analytic-incremental suite row.
+// §4.7 baseline) and through the §4.10 quiescent fast path. lpbench
+// records the two as its sim.epoch_full_us and sim.epoch_quiet_us
+// metrics.
 func BenchAnalyticEpoch(machineName, workload, policyName string, cfg Config, reps int) (EpochBenchResult, error) {
 	machine, err := runner.MachineByName(machineName)
 	if err != nil {
@@ -123,7 +123,7 @@ func BenchAnalyticEpoch(machineName, workload, policyName string, cfg Config, re
 type PhaseWall = sim.PhaseWall
 
 // SetPhaseTracking turns process-wide per-phase wall accumulation on or
-// off (`lpnuma bench` enables it for the phase breakdown it reports).
+// off (lpbench enables it for the sim.*_s phase breakdown it reports).
 func SetPhaseTracking(on bool) { sim.SetPhaseTracking(on) }
 
 // SetPhaseLabels turns pprof goroutine labels at epoch-phase boundaries

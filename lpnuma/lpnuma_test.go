@@ -38,3 +38,21 @@ func TestRunRoundTrip(t *testing.T) {
 	}
 	_ = ImprovementPct(base, res) // must not panic
 }
+
+// TestBenchAnalyticEpoch: the epoch harness behind lpbench's
+// sim.epoch_full_us and sim.epoch_quiet_us prices every thread of the
+// cell in both variants and reports positive per-epoch times.
+func TestBenchAnalyticEpoch(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.WorkScale = 0.05
+	eb, err := BenchAnalyticEpoch("B", "CG.D", PolicyPTBaseline, cfg, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eb.Threads != MachineB().TotalCores() || eb.FullSeconds <= 0 || eb.QuiescentSeconds <= 0 {
+		t.Fatalf("implausible epoch timings: %+v", eb)
+	}
+	if _, err := BenchAnalyticEpoch("B", "CG.D", "NoSuchPolicy", cfg, 1); err == nil {
+		t.Fatal("unknown policy accepted")
+	}
+}

@@ -10,7 +10,7 @@ package e2e
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
+	"context"
 	"fmt"
 	"io"
 	"net"
@@ -19,13 +19,17 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
 
 	"repro/internal/runcache"
+	"repro/internal/serve"
+	"repro/internal/serve/client"
 )
 
 var binPath string
@@ -379,39 +383,84 @@ func TestServeSlowClientDoesNotWedge(t *testing.T) {
 	}
 }
 
-// TestServebenchSmoke: the load harness runs, reports schema 5 /
-// suite serve, thousands of cached requests per second, and no errors.
-func TestServebenchSmoke(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "BENCH_serve.json")
-	code, errOut := runCmd(t, "servebench", "-duration", "2s", "-clients", "4", "-o", out)
-	if code != 0 {
-		t.Fatalf("servebench exited %d:\n%s", code, errOut)
+// TestServeLoadSmoke: the daemon answers a cached cell to concurrent
+// clients with no errors and at least 1000 requests/s (not checked
+// under -race), then drains within 10s of SIGTERM and exits 0.
+func TestServeLoadSmoke(t *testing.T) {
+	const (
+		clients = 4
+		window  = 2 * time.Second
+	)
+	cmd, base, tail := startServe(t, "-max-inflight", strconv.Itoa(2*clients))
+	cell := serve.RunRequest{Machine: "A", Workload: "EP.C", Policy: "Linux4K", Seed: 1, Scale: 0.02}
+	if _, err := client.New(base, client.Config{}).Run(context.Background(), cell); err != nil {
+		t.Fatalf("warmup: %v", err)
 	}
-	raw, err := os.ReadFile(out)
-	if err != nil {
+
+	// Every client re-requests the warmed cell until the window closes;
+	// a request cut off by the window closing is not counted.
+	ctx, cancel := context.WithTimeout(context.Background(), window)
+	defer cancel()
+	var (
+		requests, failures atomic.Uint64
+		firstErr           = make(chan error, 1)
+		wg                 sync.WaitGroup
+	)
+	// One keep-alive connection per client, so the window measures
+	// requests, not TCP handshakes (http.DefaultTransport keeps only
+	// two idle connections per host).
+	httpClient := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: clients}}
+	defer httpClient.CloseIdleConnections()
+	start := time.Now()
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := client.New(base, client.Config{RequestTimeout: 10 * time.Second, HTTPClient: httpClient})
+			for {
+				_, err := c.Run(ctx, cell)
+				if ctx.Err() != nil {
+					return
+				}
+				requests.Add(1)
+				if err != nil {
+					failures.Add(1)
+					select {
+					case firstErr <- err:
+					default:
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	elapsed := time.Since(start).Seconds()
+	if n := failures.Load(); n > 0 {
+		t.Fatalf("%d of %d requests failed; first: %v", n, requests.Load(), <-firstErr)
+	}
+	rps := float64(requests.Load()) / elapsed
+	// The floor holds for uninstrumented clients only: under -race the
+	// load is generated by instrumented code in this process, so the
+	// throughput says more about the detector than the daemon. The
+	// error and drain checks still apply.
+	if rps < 1000 && !raceEnabled {
+		t.Fatalf("cached throughput %.0f req/s over %d clients, want >= 1000", rps, clients)
+	}
+
+	drainStart := time.Now()
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
-	var rep struct {
-		SchemaVersion int     `json:"schema_version"`
-		Suite         string  `json:"suite"`
-		Requests      uint64  `json:"requests"`
-		Errors        uint64  `json:"errors"`
-		RPS           float64 `json:"requests_per_second"`
-		DrainSeconds  float64 `json:"drain_seconds"`
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("daemon exited dirty after SIGTERM: %v\n%s", err, tail.String())
 	}
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		t.Fatal(err)
+	drain := time.Since(drainStart)
+	if drain > 10*time.Second {
+		t.Fatalf("drain took %v, want <= 10s", drain)
 	}
-	if rep.SchemaVersion != 6 || rep.Suite != "serve" {
-		t.Fatalf("report schema wrong: %+v", rep)
+	time.Sleep(50 * time.Millisecond) // let the scanner drain
+	if !strings.Contains(tail.String(), "drained cleanly") {
+		t.Fatalf("no drain report:\n%s", tail.String())
 	}
-	if rep.Errors != 0 {
-		t.Fatalf("%d load errors:\n%s", rep.Errors, errOut)
-	}
-	if rep.RPS < 1000 {
-		t.Fatalf("cached throughput %0.f req/s, want >= 1000 (report %+v)", rep.RPS, rep)
-	}
-	if rep.DrainSeconds > 10 {
-		t.Fatalf("drain took %.3fs", rep.DrainSeconds)
-	}
+	t.Logf("%d requests from %d clients at %.0f req/s; drained in %v", requests.Load(), clients, rps, drain)
 }
