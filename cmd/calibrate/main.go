@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/policy"
+	"repro/internal/runcache"
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/workloads"
@@ -63,11 +64,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	cfg := sim.DefaultConfig()
 	cfg.WorkScale = *scale
+	var reqs []runner.Request
+	for _, m := range ms {
+		for _, w := range ws {
+			for _, p := range ps {
+				reqs = append(reqs, runner.Request{Machine: m, Workload: w, Policy: p, Seed: *seed, Cfg: &cfg})
+			}
+		}
+	}
 	start := time.Now()
-	res, err := runner.Sweep(ms, ws, ps, *seed, &cfg)
+	results, _, err := runcache.New(0).Results(reqs)
 	if err != nil {
 		fmt.Fprintln(stderr, "error:", err)
 		return 1
+	}
+	res := make(map[runner.Key]sim.Result, len(results))
+	for i, r := range results {
+		res[runner.Key{Machine: reqs[i].Machine, Workload: reqs[i].Workload, Policy: reqs[i].Policy}] = r
 	}
 	fmt.Fprintf(stdout, "%d runs in %v\n\n", len(res), time.Since(start).Round(time.Millisecond))
 	fmt.Fprintf(stdout, "%-16s %-2s %-12s %8s %7s %7s %7s %7s %7s %6s %6s %7s %9s %6s\n",

@@ -19,15 +19,40 @@ import (
 var excludedKeyFields = map[string]bool{
 	"Workers": true,
 	"Pool":    true,
-	// FullRecompute disables the incremental engine's memoization but is
-	// byte-identity-equivalent by contract (DESIGN.md §4.10, enforced by
-	// TestIncrementalMatchesFullRecompute), so like the parallelism knobs
-	// it must not split the cache.
-	"FullRecompute": true,
-	// PerPageAlloc likewise selects between the batched and per-page
-	// allocation paths, which are byte-identity-equivalent by contract
-	// (DESIGN.md §4.11, enforced by TestBatchedAllocMatchesPerPage).
-	"PerPageAlloc": true,
+	// Reference swaps the engine's optimized paths for its reference
+	// paths, which are byte-identity-equivalent by contract (DESIGN.md
+	// §4.10–4.11, enforced by sim's TestResultIdenticalAcrossWorkerCounts),
+	// so like the parallelism knobs it must not split the cache.
+	"Reference": true,
+}
+
+// TestCfgHashPinned pins the content address of A/CG.D/THP in both
+// modes at three work scales to the values every earlier build wrote
+// into its cache logs. A change to hashConfig's serialization, or to a
+// calibration constant it covers, moves these literals — which is the
+// point: it must be a deliberate, visible invalidation of every cache.
+func TestCfgHashPinned(t *testing.T) {
+	want := []struct {
+		mode  sim.Mode
+		scale float64
+		hash  uint64
+	}{
+		{sim.ModeSampled, 0, 0x14f5709c3ed91b3c},
+		{sim.ModeSampled, 0.05, 0xafbfc8ca168c2c23},
+		{sim.ModeSampled, 1.0, 0xd2ad8482a537ef55},
+		{sim.ModeAnalytic, 0, 0x45b71d4c177b40b1},
+		{sim.ModeAnalytic, 0.05, 0x6a94141312cfa5a0},
+		{sim.ModeAnalytic, 1.0, 0x746ba7a4db0bfcd8},
+	}
+	for _, w := range want {
+		cfg := sim.DefaultConfig()
+		cfg.Mode = w.mode
+		cfg.WorkScale = w.scale
+		k := KeyOf(runner.Request{Machine: "A", Workload: "CG.D", Policy: "THP", Cfg: &cfg})
+		if k.CfgHash != w.hash {
+			t.Errorf("%s scale %g: CfgHash %#x, want %#x", w.mode, w.scale, k.CfgHash, w.hash)
+		}
+	}
 }
 
 // TestKeyCoversEveryConfigField walks every leaf field of sim.Config by

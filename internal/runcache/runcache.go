@@ -18,6 +18,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/ibs"
 	"repro/internal/parallel"
 	"repro/internal/runner"
 	"repro/internal/sim"
@@ -62,26 +63,41 @@ func KeyOf(req runner.Request) Key {
 	}
 }
 
-// hashConfig fingerprints an engine configuration field by field (FNV-1a
-// over an explicit serialization, so the hash is stable across processes
-// and Go versions, unlike hashing the in-memory representation).
-// Config.Workers, Config.Pool and Config.FullRecompute are deliberately
-// absent: the engine's results are byte-identical for any worker count
-// and with memoization disabled (both enforced by test), so cells
-// differing only in those knobs must share one cache entry. Every
-// other field — including Mode: a cached sampled result must never
-// answer an analytic cell — is covered, and
-// TestKeyCoversEveryConfigField enforces exhaustiveness by reflection,
-// so adding a sim.Config field without extending this serialization (or
-// the explicit exclusion list) fails the build's tests.
+// The engine calibration that hashConfig serializes. sim keeps it as
+// unexported constants (epochSeconds, analyticCensus, allocRoundCycles,
+// maxAllocPerEpoch, maxSimSeconds), so this is a mirror: sim's
+// TestCalibrationPinned fails when one of them changes, which is the cue
+// to change it here too and so move every content address.
+const (
+	simEpochSeconds     float64 = 0.05
+	simAnalyticCensus   int     = 8
+	simAllocRoundCycles float64 = 250000
+	simMaxAllocPerEpoch int     = 50000
+	simMaxSimSeconds    float64 = 900
+)
+
+// hashConfig fingerprints an engine configuration (FNV-1a over an
+// explicit serialization, so the hash is stable across processes and Go
+// versions, unlike hashing the in-memory representation). The
+// serialization covers the calibration — the sim constants above and
+// ibs.DefaultConfig — and every sim.Config field except Workers, Pool
+// and Reference: the engine's results are byte-identical for any worker
+// count and on its reference paths (enforced by test), so cells
+// differing only in those knobs must share one cache entry. Mode is
+// covered (a cached sampled result must never answer an analytic cell),
+// and TestKeyCoversEveryConfigField enforces exhaustiveness by
+// reflection, so adding a sim.Config field without extending this
+// serialization (or the explicit exclusion list) fails the build's
+// tests. TestCfgHashPinned pins the resulting addresses, which existing
+// cache logs were written under.
 func hashConfig(cfg sim.Config) uint64 {
+	ib := ibs.DefaultConfig()
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d|%g|%d|%d|%g|%d|%g|%g|%d|%g|%g|%g|%d",
-		cfg.Mode, cfg.EpochSeconds, cfg.SteadySamples, cfg.AnalyticCensus,
-		cfg.AllocRoundCycles, cfg.MaxAllocPerEpoch, cfg.MaxSimSeconds,
+		cfg.Mode, simEpochSeconds, cfg.SteadySamples, simAnalyticCensus,
+		simAllocRoundCycles, simMaxAllocPerEpoch, simMaxSimSeconds,
 		cfg.WorkScale, cfg.Seed,
-		cfg.IBS.Rate, cfg.IBS.RecordRate, cfg.IBS.CyclesPerSample,
-		cfg.IBS.MaxPerNode)
+		ib.Rate, ib.RecordRate, ib.CyclesPerSample, ib.MaxPerNode)
 	return h.Sum64()
 }
 

@@ -52,27 +52,6 @@ func TestRunProducesResult(t *testing.T) {
 	}
 }
 
-func TestRunAllMatchesSequential(t *testing.T) {
-	reqs := []Request{
-		{Machine: "A", Workload: "EP.C", Policy: "Linux4K", Seed: 1, Cfg: quickCfg()},
-		{Machine: "A", Workload: "EP.C", Policy: "THP", Seed: 1, Cfg: quickCfg()},
-	}
-	par, err := RunAll(reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, req := range reqs {
-		seq, err := Run(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if par[i].RuntimeSeconds != seq.RuntimeSeconds {
-			t.Fatalf("parallel run %d diverged from sequential: %v vs %v",
-				i, par[i].RuntimeSeconds, seq.RuntimeSeconds)
-		}
-	}
-}
-
 func TestImprovementPct(t *testing.T) {
 	base := sim.Result{RuntimeSeconds: 10}
 	fast := sim.Result{RuntimeSeconds: 5}
@@ -85,18 +64,5 @@ func TestImprovementPct(t *testing.T) {
 	}
 	if ImprovementPct(base, sim.Result{}) != 0 {
 		t.Fatal("zero runtime should yield 0")
-	}
-}
-
-func TestSweepShape(t *testing.T) {
-	res, err := Sweep([]string{"A"}, []string{"EP.C"}, []string{"Linux4K", "THP"}, 1, quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 2 {
-		t.Fatalf("sweep returned %d results", len(res))
-	}
-	if _, ok := res[Key{Machine: "A", Workload: "EP.C", Policy: "THP"}]; !ok {
-		t.Fatal("missing sweep key")
 	}
 }

@@ -60,12 +60,12 @@ func TestAllocPhaseZeroAllocSteadyState(t *testing.T) {
 	// Giant-mapped first touches are all hits, so the workload's alloc
 	// phase completes in very few epochs at the default per-epoch touch
 	// budget; throttle it so the measured epochs still fault live.
-	cfg.MaxAllocPerEpoch = 500
 	eng, err := New(topo.MachineA(), spec, giant1G{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	epochCycles := eng.cfg.EpochSeconds * eng.machine.FreqHz
+	eng.maxAlloc = 500
+	epochCycles := epochSeconds * eng.machine.FreqHz
 	// Warm-up: two full epochs grow the sample scratch and round
 	// bookkeeping to steady capacity.
 	eng.runEpoch(0, epochCycles)

@@ -127,8 +127,8 @@ type threadGeom struct {
 	// scale only, so they are keyed on (appKey, scale). In a converged
 	// steady stretch neither moves epoch over epoch and mergeSteady
 	// replays the memoized delta; a float product is deterministic, so
-	// the replay is byte-identical to recomputing (the FullRecompute
-	// identity tests cover the memo because the toggle disables it).
+	// the replay is byte-identical to recomputing (the identity harness
+	// covers the memo because Config.Reference disables it).
 	flushKey   memoKey
 	flushScale float64
 	physFlush  []float64 // homeCnt[h]·scale
@@ -155,7 +155,7 @@ const censusBacklogEpochs = 8
 // table — precisely the inputs geomGen counts.
 func (e *Engine) buildGeometry(t, src, phase int, ibsPerAccess, K float64, g *threadGeom) {
 	spec := e.wl.Spec
-	rr := e.cfg.IBS.RecordRate
+	rr := e.ibs.RecordRate
 	for h := range g.homeAgg {
 		g.homeAgg[h] = 0
 	}
@@ -282,13 +282,13 @@ func (e *Engine) priceAnalytic(t, epoch int, epochCycles float64, assess tlb.Ass
 	K := float64(e.cfg.SteadySamples)
 
 	gKey := memoKey{gen: e.geomGen, phase: px.phase}
-	if e.cfg.FullRecompute || g.key != gKey {
+	if e.cfg.Reference || g.key != gKey {
 		e.buildGeometry(t, px.src, px.phase, px.ibsPerAccess, K, g)
 		g.key = gKey
 		g.appKey = invalidMemoKey
 	}
 	aKey := memoKey{gen: e.contGen, phase: px.phase}
-	if e.cfg.FullRecompute || g.appKey != aKey {
+	if e.cfg.Reference || g.appKey != aKey {
 		e.applyContention(px.src, px.latRow, px.fabRow, px.mlp, assess, K, g)
 		g.appKey = aKey
 	}
@@ -305,8 +305,8 @@ func (e *Engine) priceAnalytic(t, epoch int, epochCycles float64, assess tlb.Ass
 		// census and the thinned sample stream are deferred — counts
 		// accumulate here and materialize on the next non-quiescent
 		// epoch (or at thread finish), conserving sample volume.
-		if s.censusDue < censusBacklogEpochs*e.cfg.AnalyticCensus {
-			s.censusDue += e.cfg.AnalyticCensus
+		if s.censusDue < censusBacklogEpochs*analyticCensus {
+			s.censusDue += analyticCensus
 		}
 		for ri, r := range g.thinRate {
 			s.ibsCarry[ri] += r
@@ -317,7 +317,7 @@ func (e *Engine) priceAnalytic(t, epoch int, epochCycles float64, assess tlb.Ass
 		// populated and materializes lazily faulted regions, at a
 		// fraction of the sampled loop's cost.
 		rng := &s.rng
-		draws := e.cfg.AnalyticCensus + s.censusDue
+		draws := analyticCensus + s.censusDue
 		s.censusDue = 0
 		for i := 0; i < draws; i++ {
 			acc := e.wl.NextSteadyPhase(t, rng, px.phase)
@@ -363,7 +363,7 @@ func (e *Engine) drainDeferred(t, phase, src int, core topo.CoreID, s *threadScr
 // would deliver. It returns the direct fault cycles of draws that hit
 // unmapped pages (zero once a workload is fully faulted in).
 func (e *Engine) thinIBS(t, phase, src int, core topo.CoreID, s *threadScratch, rng *stats.Rng, K float64, shared bool) float64 {
-	rr := e.cfg.IBS.RecordRate
+	rr := e.ibs.RecordRate
 	if rr <= 0 {
 		return 0
 	}

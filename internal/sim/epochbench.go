@@ -18,8 +18,8 @@ import (
 )
 
 // EpochBenchResult reports seconds per steady-state pricing epoch for
-// the full-recompute analytic engine (the §4.7 baseline: every
-// expectation term rebuilt) and for the §4.10 quiescent fast path
+// the analytic engine on its Config.Reference path (the §4.7 baseline:
+// every expectation term rebuilt) and for the §4.10 quiescent fast path
 // (warm memos, nothing changed, telemetry deferred).
 type EpochBenchResult struct {
 	FullSeconds      float64
@@ -35,12 +35,12 @@ type EpochBenchResult struct {
 // simulation contract.
 func BenchAnalyticEpoch(machine *topo.Machine, spec workloads.Spec, os OS, cfg Config, reps int) (EpochBenchResult, error) {
 	cfg.Mode = ModeAnalytic
-	cfg.FullRecompute = false
+	cfg.Reference = false
 	e, err := New(machine, spec, os, cfg)
 	if err != nil {
 		return EpochBenchResult{}, err
 	}
-	epochCycles := e.cfg.EpochSeconds * e.machine.FreqHz
+	epochCycles := epochSeconds * e.machine.FreqHz
 	for epoch := 0; epoch < 10000 && !e.wl.AllocAllDone(); epoch++ {
 		e.runEpoch(epoch, epochCycles)
 	}
@@ -53,7 +53,7 @@ func BenchAnalyticEpoch(machine *topo.Machine, spec workloads.Spec, os OS, cfg C
 	assess := e.tlbModel.Assess(e.wl.TLBSegments(0, e.counts))
 
 	price := func(full, quiet bool) {
-		e.cfg.FullRecompute = full
+		e.cfg.Reference = full
 		e.epochQuiet = quiet
 		for t := 0; t < e.threads; t++ {
 			e.budgets[t] = epochCycles
@@ -63,7 +63,7 @@ func BenchAnalyticEpoch(machine *topo.Machine, spec workloads.Spec, os OS, cfg C
 			e.ts[t].ran = true
 			e.priceAnalytic(t, 0, epochCycles, assess, false)
 		}
-		e.cfg.FullRecompute = false
+		e.cfg.Reference = false
 		e.epochQuiet = false
 	}
 	timed := func(full, quiet bool) float64 {

@@ -20,7 +20,7 @@ import (
 // before pricing), so benchmarks can exercise the sampling loop alone.
 func primeSteady(tb testing.TB, e *Engine) (tlb.Assessment, float64) {
 	tb.Helper()
-	epochCycles := e.cfg.EpochSeconds * e.machine.FreqHz
+	epochCycles := epochSeconds * e.machine.FreqHz
 	for epoch := 0; epoch < 10000; epoch++ {
 		if e.wl.AllocAllDone() {
 			break

@@ -41,7 +41,34 @@ import (
 	"repro/internal/workloads"
 )
 
-// Config tunes the engine.
+// The evaluation calibration. Every result in EXPERIMENTS.md comes from
+// this one model, so these are constants rather than Config fields;
+// runcache.hashConfig still serializes them (with ibs.DefaultConfig)
+// into every content address, so changing one moves every cell key.
+const (
+	// epochSeconds is the simulation quantum.
+	epochSeconds float64 = 0.05
+	// analyticCensus is the number of ground-truth census draws per
+	// thread per steady epoch in ModeAnalytic: resolved (not priced)
+	// accesses that keep the per-page accounting behind PAMUP/NHP/PSP
+	// populated and materialize lazy mappings. ModeSampled's priced
+	// accesses are their own census.
+	analyticCensus int = 8
+	// allocRoundCycles is the simulated-time slice each thread gets per
+	// allocation round before the engine rotates to the next thread.
+	// Interleaving by time (not by touch count) reproduces the race of
+	// parallel initialization: a thread stuck in an expensive fault falls
+	// behind while threads skipping already-mapped pages sprint ahead and
+	// claim the next chunks.
+	allocRoundCycles float64 = 250000
+	// maxAllocPerEpoch bounds one thread's allocation touches per epoch.
+	maxAllocPerEpoch int = 50000
+	// maxSimSeconds aborts runaway simulations.
+	maxSimSeconds float64 = 900
+)
+
+// Config holds what callers vary per run; the calibration is fixed
+// (see the constants above).
 type Config struct {
 	// Mode selects the steady-state pricing implementation: ModeSampled
 	// (the default) prices SteadySamples representative accesses per
@@ -50,59 +77,28 @@ type Config struct {
 	// counts into a deterministic IBS sample stream (DESIGN.md §4.7).
 	// Allocation phases always run at full fidelity regardless of mode.
 	Mode Mode
-	// EpochSeconds is the simulation quantum.
-	EpochSeconds float64
 	// SteadySamples is the number of priced accesses per thread per epoch
 	// in steady state.
 	SteadySamples int
-	// AnalyticCensus is the number of ground-truth census draws per
-	// thread per steady epoch in ModeAnalytic: resolved (not priced)
-	// accesses that keep the per-page accounting behind PAMUP/NHP/PSP
-	// populated and materialize lazy mappings. Ignored by ModeSampled,
-	// whose priced accesses are their own census.
-	AnalyticCensus int
-	// AllocRoundCycles is the simulated-time slice each thread gets per
-	// allocation round before the engine rotates to the next thread.
-	// Interleaving by time (not by touch count) reproduces the race of
-	// parallel initialization: a thread stuck in an expensive fault falls
-	// behind while threads skipping already-mapped pages sprint ahead and
-	// claim the next chunks.
-	AllocRoundCycles float64
-	// MaxAllocPerEpoch bounds one thread's allocation touches per epoch.
-	MaxAllocPerEpoch int
-	// MaxSimSeconds aborts runaway simulations.
-	MaxSimSeconds float64
 	// WorkScale multiplies the workload's WorkPerThread (0 = 1.0); the
 	// benchmark harness uses fractional scales for quick regeneration
 	// passes.
 	WorkScale float64
 	// Seed drives all randomness.
 	Seed uint64
-	// IBS configures the hardware sampler.
-	IBS ibs.Config
 
-	// FullRecompute is a debug switch for the incremental analytic
-	// engine (DESIGN.md §4.10): it forces every per-thread geometry and
-	// contention cache to rebuild each epoch instead of reusing entries
-	// keyed on vm.Region.Gen and the contention generation. Quiescence
-	// detection and telemetry deferral are decided from the same inputs
-	// either way, so results are byte-identical with the switch on or
-	// off — that is the incremental engine's correctness contract,
-	// enforced by TestIncrementalMatchesFullRecompute — and, like
-	// Workers, the field is excluded from runcache's content address.
-	// ModeSampled ignores it.
-	FullRecompute bool
-
-	// PerPageAlloc is the batched allocation path's FullRecompute
-	// analogue (DESIGN.md §4.11): it forces the allocation phase to fault
-	// every page individually through vm.Access instead of committing
-	// spans of same-(chunk, node, size) first-touches in one batched
-	// operation. The batched path replays the per-touch arithmetic
-	// exactly — same float-addition sequences per accumulator, same buddy
-	// transactions — so results are byte-identical with the switch on or
-	// off (TestBatchedAllocMatchesPerPage), and the field is excluded
-	// from runcache's content address.
-	PerPageAlloc bool
+	// Reference runs the engine's reference paths instead of its
+	// optimized ones (DESIGN.md §4.10–4.11): every analytic geometry,
+	// contention and merge memo rebuilds each epoch, the allocation
+	// phase faults every page individually through vm.Access instead of
+	// committing batched spans, and policy pipelines run due-gated hooks
+	// even when their gate reports no pending work. Each optimization
+	// must be a pure evaluation-order change, so results are
+	// byte-identical with the switch on or off —
+	// TestResultIdenticalAcrossWorkerCounts compares the two with ==
+	// across a matrix of cells — and, like Workers, the field is
+	// excluded from runcache's content address.
+	Reference bool
 
 	// Workers caps the intra-run worker count of the parallel pricing
 	// stage: 0 selects the host parallelism (or defers to Pool when one
@@ -118,18 +114,9 @@ type Config struct {
 	Pool *parallel.Pool
 }
 
-// DefaultConfig returns the evaluation calibration.
+// DefaultConfig returns the evaluation configuration.
 func DefaultConfig() Config {
-	return Config{
-		EpochSeconds:     0.05,
-		SteadySamples:    320,
-		AnalyticCensus:   8,
-		AllocRoundCycles: 250000,
-		MaxAllocPerEpoch: 50000,
-		MaxSimSeconds:    900,
-		Seed:             1,
-		IBS:              ibs.DefaultConfig(),
-	}
+	return Config{SteadySamples: 320, Seed: 1}
 }
 
 // OS is the policy-side interface: a policy assembles the THP setting and
@@ -183,6 +170,11 @@ type Env struct {
 
 	engine *Engine
 }
+
+// Reference reports whether the run uses the engine's reference paths
+// (Config.Reference); policy pipelines read it to run due-gated hooks
+// unconditionally.
+func (env *Env) Reference() bool { return env.engine.cfg.Reference }
 
 // PTConfig configures NUMA-aware page-table placement pricing.
 type PTConfig struct {
@@ -380,6 +372,10 @@ type Engine struct {
 	hier     cache.Hierarchy
 	tlbModel *tlb.Model
 	rng      *stats.Rng
+	ibs      ibs.Config // the sampler's calibration (ibs.DefaultConfig)
+	// maxAlloc bounds one thread's allocation touches per epoch
+	// (maxAllocPerEpoch; a test lowers it to force many alloc epochs).
+	maxAlloc int
 
 	threads        int
 	nodes          int
@@ -467,6 +463,8 @@ func New(m *topo.Machine, spec workloads.Spec, policy OS, cfg Config) (*Engine, 
 		hier:     cache.Default(),
 		tlbModel: tlb.NewModel(tlb.DefaultConfig()),
 		rng:      stats.NewRng(cfg.Seed),
+		ibs:      ibs.DefaultConfig(),
+		maxAlloc: maxAllocPerEpoch,
 		threads:  m.TotalCores(),
 		nodes:    m.Nodes,
 	}
@@ -475,7 +473,7 @@ func New(m *topo.Machine, spec workloads.Spec, policy OS, cfg Config) (*Engine, 
 		Phys:    phys,
 		Fabric:  fabric,
 		Space:   space,
-		Sampler: ibs.NewSampler(cfg.IBS, m.Nodes),
+		Sampler: ibs.NewSampler(e.ibs, m.Nodes),
 		Costs:   vm.DefaultOpCosts(),
 		Rng:     e.rng.Split(0xfeed),
 		engine:  e,
@@ -586,8 +584,8 @@ func (e *Engine) Run() Result {
 // ctx.Err() is returned; a context-free run is unaffected (results stay
 // byte-identical for any worker count, with or without a context).
 func (e *Engine) RunContext(ctx context.Context) (Result, error) {
-	epochCycles := e.cfg.EpochSeconds * e.machine.FreqHz
-	maxEpochs := int(e.cfg.MaxSimSeconds / e.cfg.EpochSeconds)
+	epochCycles := epochSeconds * e.machine.FreqHz
+	maxEpochs := int(maxSimSeconds / epochSeconds)
 	cancel := ctx.Done() // nil for context.Background(): no per-epoch poll at all
 	timedOut := true
 	epoch := 0
@@ -612,7 +610,7 @@ func (e *Engine) RunContext(ctx context.Context) (Result, error) {
 		}
 	}
 	if timedOut {
-		runtime = float64(epoch) * e.cfg.EpochSeconds
+		runtime = float64(epoch) * epochSeconds
 	}
 	res := Result{
 		Workload:             e.wl.Spec.Name,
@@ -659,7 +657,7 @@ func (e *Engine) snapshotEpoch() {
 			if g := br.VM.Gen(); g != e.snapGen[ri] {
 				e.snapGen[ri] = g
 				moved = true
-			} else if !e.cfg.FullRecompute {
+			} else if !e.cfg.Reference {
 				stale = false
 			}
 		}
@@ -759,8 +757,8 @@ func cmpCopy(dst *[]float64, src []float64) bool {
 // thread's cached aggregates are exact, so pricing reuses them
 // wholesale and defers the census and IBS thinning (DESIGN.md §4.10).
 // The decision reads only serial engine state and never the cached
-// values themselves, so it is identical under FullRecompute — which is
-// what makes forced-recompute runs byte-identical.
+// values themselves, so it is identical under Config.Reference — which
+// is what makes forced-recompute runs byte-identical.
 func (e *Engine) refreshContention(eventsFired, allocsRan bool, epochCycles float64) {
 	dirty := e.geomGen != e.lastGeomGen
 	e.lastGeomGen = e.geomGen
@@ -869,7 +867,7 @@ func (e *Engine) runEpoch(epoch int, epochCycles float64) bool {
 	// ModeAnalytic reuses the previous epoch's until either moved.
 	e.snapshotEpoch()
 	assess := e.assessCache
-	if !e.assessValid || e.cfg.FullRecompute || e.snapGen == nil {
+	if !e.assessValid || e.cfg.Reference || e.snapGen == nil {
 		assess = e.tlbModel.Assess(e.wl.TLBSegments(0, e.counts))
 		e.assessCache = assess
 		e.assessValid = true
@@ -1084,7 +1082,7 @@ func (e *Engine) beginPricing(t, epoch int) pricingCtx {
 		s:            s,
 		core:         e.core(t),
 		startBudget:  e.budgets[t],
-		ibsPerAccess: e.cfg.IBS.Rate * e.cfg.IBS.CyclesPerSample,
+		ibsPerAccess: e.ibs.Rate * e.ibs.CyclesPerSample,
 		work:         spec.WorkPerThread,
 		mlp:          1 - spec.MLPOverlap,
 	}
@@ -1200,7 +1198,7 @@ func (e *Engine) priceSteady(t, epoch int, epochCycles float64, assess tlb.Asses
 			} else {
 				remote++
 			}
-			if rng.Bernoulli(e.cfg.IBS.RecordRate) {
+			if rng.Bernoulli(e.ibs.RecordRate) {
 				//lpnuma:alloc-ok scratch append; capacity stabilizes after warm-up (TestSteadyEpochZeroAlloc)
 				s.samples = append(s.samples, ibs.Sample{
 					Page: res.Page, Off: acc.Off, Thread: int32(t), Core: int32(core),
@@ -1264,7 +1262,7 @@ func (e *Engine) settleThread(t, phase int, startBudget, epochCycles, avg, fault
 		if frac > 1 {
 			frac = 1
 		}
-		e.finishTime[t] = e.nowCycles/e.machine.FreqHz + frac*e.cfg.EpochSeconds
+		e.finishTime[t] = e.nowCycles/e.machine.FreqHz + frac*epochSeconds
 		s.finished = true
 	} else {
 		e.budgets[t] = 0
@@ -1337,7 +1335,7 @@ func (e *Engine) mergeSteady(t int) {
 	}
 	scale := s.scale
 	src := e.machine.NodeOf(core)
-	if g := s.geom; g != nil && !e.cfg.FullRecompute {
+	if g := s.geom; g != nil && !e.cfg.Reference {
 		// Incremental merge accounting (DESIGN.md §4.11): the scaled flush
 		// products are keyed on (appKey, scale) — in a converged stretch
 		// both are unchanged and the thread replays its memoized delta.
@@ -1443,12 +1441,12 @@ func (e *Engine) runAllocRounds(epoch int, budgets []float64) bool {
 		for _, t := range active {
 			src := int(e.machine.NodeOf(e.core(t)))
 			latRow := e.lat[src*e.nodes : (src+1)*e.nodes]
-			if e.cfg.PerPageAlloc {
+			if e.cfg.Reference {
 				e.allocSlicePerPage(t, budgets, allocCount, src, latRow)
 			} else {
 				e.allocSliceBatched(t, budgets, allocCount, src, latRow)
 			}
-			if !e.wl.AllocDone(t) && budgets[t] > 0 && allocCount[t] < e.cfg.MaxAllocPerEpoch {
+			if !e.wl.AllocDone(t) && budgets[t] > 0 && allocCount[t] < e.maxAlloc {
 				next = append(next, t)
 			}
 		}
@@ -1460,11 +1458,11 @@ func (e *Engine) runAllocRounds(epoch int, budgets []float64) bool {
 
 // allocSlicePerPage runs one thread's allocation time slice touch by
 // touch through vm.Access — the reference path the batched slice must
-// reproduce byte for byte (Config.PerPageAlloc forces it everywhere).
+// reproduce byte for byte (Config.Reference forces it everywhere).
 func (e *Engine) allocSlicePerPage(t int, budgets []float64, allocCount []int, src int, latRow []float64) {
 	var spent float64
-	for spent < e.cfg.AllocRoundCycles {
-		if budgets[t] <= 0 || allocCount[t] >= e.cfg.MaxAllocPerEpoch {
+	for spent < allocRoundCycles {
+		if budgets[t] <= 0 || allocCount[t] >= e.maxAlloc {
 			break
 		}
 		if !e.allocOneSlow(t, budgets, allocCount, &spent, src, latRow) {
@@ -1517,14 +1515,14 @@ func (e *Engine) allocOneSlow(t int, budgets []float64, allocCount []int, spent 
 // affords, and commits them through one vm.ApplyAlloc* operation — one
 // buddy transaction, one accounting pass. Every float accumulator
 // advances by the same per-touch addition sequence as the per-page path,
-// so the result is byte-identical (TestBatchedAllocMatchesPerPage); runs
-// whose fault pre-checks fail fall back to allocOneSlow, which replays
-// the fallback chain exactly.
+// so the result is byte-identical to a Config.Reference run; runs whose
+// fault pre-checks fail fall back to allocOneSlow, which replays the
+// fallback chain exactly.
 func (e *Engine) allocSliceBatched(t int, budgets []float64, allocCount []int, src int, latRow []float64) {
 	var spent float64
 	core := e.core(t)
-	rc := e.cfg.AllocRoundCycles
-	maxAlloc := e.cfg.MaxAllocPerEpoch
+	rc := allocRoundCycles
+	maxAlloc := e.maxAlloc
 	for spent < rc {
 		if budgets[t] <= 0 || allocCount[t] >= maxAlloc {
 			break

@@ -89,9 +89,13 @@ func RunContext(ctx context.Context, req Request) (Result, error) {
 	return runner.RunContext(ctx, req)
 }
 
-// RunAll executes many simulations with host parallelism, returning
-// results in request order.
-func RunAll(reqs []Request) ([]Result, error) { return runner.RunAll(reqs) }
+// RunAll executes many simulations on a fresh Scheduler sized to the
+// host's CPU count, so identical requests run once, and returns the
+// results in request order; the first error in request order aborts.
+func RunAll(reqs []Request) ([]Result, error) {
+	res, _, err := runcache.New(0).Results(reqs)
+	return res, err
+}
 
 // EpochBenchResult reports per-epoch pricing times; see
 // sim.EpochBenchResult.

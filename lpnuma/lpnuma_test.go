@@ -39,6 +39,38 @@ func TestRunRoundTrip(t *testing.T) {
 	_ = ImprovementPct(base, res) // must not panic
 }
 
+// TestRunAllMatchesSequential: the scheduler-backed batch returns, in
+// request order, exactly the Result a sequential Run of each request
+// returns — duplicates included.
+func TestRunAllMatchesSequential(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.WorkScale = 0.02
+	reqs := []Request{
+		{Machine: "A", Workload: "EP.C", Policy: PolicyLinux4K, Seed: 1, Cfg: &cfg},
+		{Machine: "A", Workload: "EP.C", Policy: PolicyTHP, Seed: 1, Cfg: &cfg},
+		{Machine: "A", Workload: "EP.C", Policy: PolicyLinux4K, Seed: 1, Cfg: &cfg},
+	}
+	par, err := RunAll(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(par) != len(reqs) {
+		t.Fatalf("RunAll returned %d results for %d requests", len(par), len(reqs))
+	}
+	for i, req := range reqs {
+		seq, err := Run(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if par[i] != seq {
+			t.Fatalf("batched run %d diverged from sequential:\n batch: %+v\n seq:   %+v", i, par[i], seq)
+		}
+	}
+	if _, err := RunAll([]Request{{Machine: "A", Workload: "nope", Policy: PolicyTHP}}); err == nil {
+		t.Fatal("unknown workload accepted")
+	}
+}
+
 // TestBenchAnalyticEpoch: the epoch harness behind lpbench's
 // sim.epoch_full_us and sim.epoch_quiet_us prices every thread of the
 // cell in both variants and reports positive per-epoch times.
