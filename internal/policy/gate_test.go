@@ -4,10 +4,12 @@ package policy_test
 // contract is that a hook whose gate reports false would be a pure
 // no-op if it ran anyway — that is what lets Pipeline.NextDaemonDue
 // drop gated-off hooks from the daemon schedule and the engine treat
-// the epoch as quiescent. Pipeline.ForceGatedHooks runs every gated-off
-// hook regardless, so any gate that hides real work (a khugepaged scan
-// that would have promoted, a sampler drain that would have migrated)
-// surfaces as a byte difference between the two runs.
+// the epoch as quiescent. Under sim.Config.Reference, Tick runs every
+// gated-off hook regardless, so any gate that hides real work (a
+// khugepaged scan that would have promoted, a sampler drain that would
+// have migrated) surfaces as a byte difference between the two runs.
+// sim's identity harness runs the same cells at several worker counts;
+// this test keeps the contract next to the policies it binds.
 
 import (
 	"testing"
@@ -18,8 +20,8 @@ import (
 	"repro/internal/workloads"
 )
 
-// runGated runs one policy with or without forced gated hooks.
-func runGated(t *testing.T, pol string, mode sim.Mode, force bool) sim.Result {
+// runGated runs one policy on A/UA.B with or without the reference paths.
+func runGated(t *testing.T, pol string, mode sim.Mode, reference bool) sim.Result {
 	t.Helper()
 	spec, err := workloads.ByName("UA.B")
 	if err != nil {
@@ -29,14 +31,13 @@ func runGated(t *testing.T, pol string, mode sim.Mode, force bool) sim.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pl, ok := os.(*policy.Pipeline); ok {
-		pl.ForceGatedHooks = force
-	} else if force {
-		t.Fatalf("policy %s is not a Pipeline; cannot force its gated hooks", pol)
+	if _, ok := os.(*policy.Pipeline); !ok {
+		t.Fatalf("policy %s is not a Pipeline; Reference cannot force its gated hooks", pol)
 	}
 	cfg := sim.DefaultConfig()
 	cfg.WorkScale = 0.05
 	cfg.Mode = mode
+	cfg.Reference = reference
 	eng, err := sim.New(topo.MachineA(), spec, os, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -49,23 +50,19 @@ func runGated(t *testing.T, pol string, mode sim.Mode, force bool) sim.Result {
 }
 
 // TestGatedHooksAreNoOpsWhenNotDue proves the EveryDue contract for
-// every registered policy in both engine modes: forcing gated-off hooks
-// to run changes nothing, byte for byte.
+// every registered policy in both engine modes: running gated-off hooks
+// changes nothing, byte for byte.
 func TestGatedHooksAreNoOpsWhenNotDue(t *testing.T) {
 	for _, pol := range policy.Names() {
 		pol := pol
 		for _, mode := range []sim.Mode{sim.ModeAnalytic, sim.ModeSampled} {
 			mode := mode
-			name := pol + "/analytic"
-			if mode == sim.ModeSampled {
-				name = pol + "/sampled"
-			}
-			t.Run(name, func(t *testing.T) {
+			t.Run(pol+"/"+mode.String(), func(t *testing.T) {
 				t.Parallel()
-				ref := runGated(t, pol, mode, false)
-				forced := runGated(t, pol, mode, true)
-				if forced != ref {
-					t.Errorf("forcing gated-off hooks changed the result:\n forced: %+v\n normal: %+v", forced, ref)
+				ref := runGated(t, pol, mode, true)
+				got := runGated(t, pol, mode, false)
+				if got != ref {
+					t.Errorf("skipping gated-off hooks changed the result:\n optimized: %+v\n reference: %+v", got, ref)
 				}
 			})
 		}

@@ -21,7 +21,7 @@ var excludedKeyFields = map[string]bool{
 	"Pool":    true,
 	// Reference swaps the engine's optimized paths for its reference
 	// paths, which are byte-identity-equivalent by contract (DESIGN.md
-	// §4.10–4.11, enforced by sim's TestResultIdenticalAcrossWorkerCounts),
+	// §4.10–4.11, enforced by sim's identity harness),
 	// so like the parallelism knobs it must not split the cache.
 	"Reference": true,
 }

@@ -13,6 +13,7 @@ package sim_test
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/policy"
@@ -36,52 +37,77 @@ func (c identityCell) name() string {
 	return c.machine + "/" + c.workload + "/" + c.pol + "/" + c.mode.String()
 }
 
-// identityMatrix covers every surface a reference path guards:
-//   - every policy policy.Names() knows on UA.B (sharing, halos,
-//     multi-region structure, so every daemon and every due-gated hook
-//     has something to act on) in both modes, so a new policy cannot
-//     ship without the guarantee;
-//   - the 64-thread machine B on CG.D: hot-page splits (THP, TridentLP),
-//     1 GB premapped hit runs (HugeTLB1G) and a daemon that migrates and
-//     splits mid-alloc (CarrefourLP);
-//   - two full-scale cells whose long steady stretches let the latency
-//     EWMA reach its float fixed point, so quiescent epochs occur — one
-//     of them THP, whose khugepaged hook is due-gated on pending
-//     promotions;
-//   - sampled-mode allocation runs on SSCA.20 and SPECjbb;
-//   - two event timelines (growth/churn and shift/free) whose phase
-//     changes, remaps and unmaps must invalidate every memo.
-func identityMatrix() []identityCell {
-	both := []sim.Mode{sim.ModeSampled, sim.ModeAnalytic}
+// The identity matrix is split by the surface each part guards, one
+// test function per part so every cell keeps its historic test id; all
+// of them run the same check (checkIdentity), and their union is the
+// harness's matrix.
+
+// workerCountCells covers every policy policy.Names() knows on UA.B
+// (sharing, halos, multi-region structure, so every daemon and every
+// due-gated hook has something to act on) in both modes, so a new policy
+// cannot ship without the guarantee; the 64-thread machine B on CG.D for
+// the hot-page split policies; and the growth/churn and shift/free event
+// timelines in both modes.
+func workerCountCells() []identityCell {
 	var cells []identityCell
 	for _, pol := range policy.Names() {
-		for _, mode := range both {
-			cells = append(cells, identityCell{machine: "A", workload: "UA.B", pol: pol, mode: mode, workScale: 0.05})
-		}
+		cells = append(cells, bothModes(identityCell{machine: "A", workload: "UA.B", pol: pol, workScale: 0.05})...)
 	}
 	for _, pol := range []string{"THP", "TridentLP"} {
-		for _, mode := range both {
-			cells = append(cells, identityCell{machine: "B", workload: "CG.D", pol: pol, mode: mode, workScale: 0.05})
-		}
+		cells = append(cells, bothModes(identityCell{machine: "B", workload: "CG.D", pol: pol, workScale: 0.05})...)
 	}
-	cells = append(cells,
-		identityCell{machine: "B", workload: "CG.D", pol: "HugeTLB1G", mode: sim.ModeAnalytic, workScale: 0.05},
-		identityCell{machine: "B", workload: "CG.D", pol: "CarrefourLP", mode: sim.ModeAnalytic, workScale: 0.05},
-		identityCell{machine: "B", workload: "CG.D", pol: "PTBaseline", mode: sim.ModeAnalytic, workScale: 1.0, wantQuiet: true},
-		identityCell{machine: "A", workload: "SSCA.20", pol: "THP", mode: sim.ModeAnalytic, workScale: 1.0, wantQuiet: true},
-		identityCell{machine: "A", workload: "SSCA.20", pol: "Linux4K", mode: sim.ModeSampled, workScale: 0.05},
-		identityCell{machine: "B", workload: "SPECjbb", pol: "THP", mode: sim.ModeSampled, workScale: 0.05},
-	)
 	churn, free := churnTimeline(), shiftFreeTimeline()
 	for _, spec := range []*workloads.Spec{&churn, &free} {
 		for _, pol := range []string{"THP", "CarrefourLP", "TridentLP"} {
-			for _, mode := range both {
-				cells = append(cells, identityCell{machine: "A", workload: spec.Name, pol: pol, mode: mode, spec: spec, workScale: 0.05})
-			}
+			cells = append(cells, bothModes(identityCell{machine: "A", workload: spec.Name, pol: pol, spec: spec, workScale: 0.05})...)
 		}
-		cells = append(cells, identityCell{machine: "A", workload: spec.Name, pol: "Linux4K", mode: sim.ModeAnalytic, spec: spec, workScale: 0.05})
 	}
 	return cells
+}
+
+// incrementalCells covers the analytic memos' invalidation surfaces: a
+// hook-free policy, a daemon that bumps Region.Gen mid-run, 1 GB pages on
+// machine B, two timelines, and two full-scale cells whose long steady
+// stretches let the latency EWMA reach its float fixed point, so
+// quiescent epochs occur — one of them THP, whose khugepaged hook is
+// due-gated on pending promotions.
+func incrementalCells() []identityCell {
+	churn, free := churnTimeline(), shiftFreeTimeline()
+	a := sim.ModeAnalytic
+	return []identityCell{
+		{machine: "A", workload: "UA.B", pol: "Linux4K", mode: a, workScale: 0.05},
+		{machine: "A", workload: "UA.B", pol: "CarrefourLP", mode: a, workScale: 0.05},
+		{machine: "B", workload: "CG.D", pol: "HugeTLB1G", mode: a, workScale: 0.05},
+		{machine: "B", workload: "CG.D", pol: "PTBaseline", mode: a, workScale: 1.0, wantQuiet: true},
+		{machine: "A", workload: "SSCA.20", pol: "THP", mode: a, workScale: 1.0, wantQuiet: true},
+		{machine: "A", workload: churn.Name, pol: "THP", mode: a, spec: &churn, workScale: 0.05},
+		{machine: "A", workload: free.Name, pol: "TridentLP", mode: a, spec: &free, workScale: 0.05},
+	}
+}
+
+// allocCells covers every run kind of the batched allocation path: 4 KB
+// fault runs (Linux4K), 2 MB faults plus post-fault hit runs (THP), 1 GB
+// premapped hit runs (HugeTLB1G), a daemon that migrates and splits
+// mid-alloc (CarrefourLP), a churn timeline under capacity pressure, and
+// sampled-mode runs on SSCA.20 and SPECjbb.
+func allocCells() []identityCell {
+	churn := churnTimeline()
+	a, s := sim.ModeAnalytic, sim.ModeSampled
+	return []identityCell{
+		{machine: "A", workload: "UA.B", pol: "Linux4K", mode: a, workScale: 0.05},
+		{machine: "A", workload: "UA.B", pol: "THP", mode: a, workScale: 0.05},
+		{machine: "B", workload: "CG.D", pol: "HugeTLB1G", mode: a, workScale: 0.05},
+		{machine: "B", workload: "CG.D", pol: "CarrefourLP", mode: a, workScale: 0.05},
+		{machine: "A", workload: churn.Name, pol: "THP", mode: a, spec: &churn, workScale: 0.05},
+		{machine: "A", workload: "SSCA.20", pol: "Linux4K", mode: s, workScale: 0.05},
+		{machine: "B", workload: "SPECjbb", pol: "THP", mode: s, workScale: 0.05},
+	}
+}
+
+func bothModes(c identityCell) []identityCell {
+	s, a := c, c
+	s.mode, a.mode = sim.ModeSampled, sim.ModeAnalytic
+	return []identityCell{s, a}
 }
 
 // runIdentity runs one cell and returns the result plus how many
@@ -122,16 +148,53 @@ func runIdentity(t *testing.T, c identityCell, workers int, reference bool) (sim
 	return res, eng.QuietEpochs()
 }
 
-// TestResultIdenticalAcrossWorkerCounts is the harness: for every cell,
-// the optimized engine at 1, 2 and NumCPU workers equals the
-// single-worker Reference run exactly, and on the full-scale cells the
-// Reference run is itself worker-count invariant. runcache relies on
-// this to exclude Config.Workers, Pool and Reference from cell
-// addresses.
-func TestResultIdenticalAcrossWorkerCounts(t *testing.T) {
-	cells := identityMatrix()
-	covered := map[string]bool{}
+// checkIdentity is the harness: the optimized engine at 1, 2 and
+// NumCPU workers equals the single-worker Reference run exactly, and on
+// full-scale cells the Reference run is itself worker-count invariant.
+// runcache relies on this to exclude Config.Workers, Pool and Reference
+// from cell addresses.
+func checkIdentity(t *testing.T, c identityCell) {
+	t.Helper()
+	if c.spec != nil && len(c.spec.Events) == 0 {
+		t.Fatalf("timeline %s declares no events; the cell would not exercise invalidation", c.workload)
+	}
+	ref, _ := runIdentity(t, c, 1, true)
+	quietSeen := 0
+	for _, workers := range []int{1, 2, runtime.NumCPU()} {
+		res, quiet := runIdentity(t, c, workers, false)
+		if res != ref {
+			t.Errorf("%s: optimized result at %d workers differs from the reference:\n opt: %+v\n ref: %+v", c.name(), workers, res, ref)
+		}
+		quietSeen = max(quietSeen, quiet)
+	}
+	if c.wantQuiet && quietSeen == 0 {
+		t.Errorf("%s: cell expected to exercise the quiescent path saw 0 quiet epochs", c.name())
+	}
+	if c.workScale == 1.0 {
+		if res8, _ := runIdentity(t, c, 8, true); res8 != ref {
+			t.Errorf("%s: reference result differs between 8 and 1 workers:\n 8w: %+v\n 1w: %+v", c.name(), res8, ref)
+		}
+	}
+}
+
+// runCells runs checkIdentity on every cell as a parallel subtest.
+func runCells(t *testing.T, cells []identityCell, name func(identityCell) string) {
 	for _, c := range cells {
+		c := c
+		t.Run(name(c), func(t *testing.T) {
+			t.Parallel()
+			checkIdentity(t, c)
+		})
+	}
+}
+
+// TestResultIdenticalAcrossWorkerCounts also guards the matrix itself:
+// every policy must appear in both modes across the harness, and every
+// policy must be a Pipeline, since Reference forces gated hooks only
+// through Pipeline.Tick.
+func TestResultIdenticalAcrossWorkerCounts(t *testing.T) {
+	covered := map[string]bool{}
+	for _, c := range slices.Concat(workerCountCells(), incrementalCells(), allocCells()) {
 		covered[c.pol+"/"+c.mode.String()] = true
 	}
 	for _, name := range policy.Names() {
@@ -139,7 +202,6 @@ func TestResultIdenticalAcrossWorkerCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Reference forces gated hooks only through Pipeline.Tick.
 		if _, ok := pol.(*policy.Pipeline); !ok {
 			t.Errorf("policy %s is not a Pipeline; Reference cannot force its gated hooks", name)
 		}
@@ -149,30 +211,31 @@ func TestResultIdenticalAcrossWorkerCounts(t *testing.T) {
 			}
 		}
 	}
-	for _, c := range cells {
-		c := c
-		t.Run(c.name(), func(t *testing.T) {
+	runCells(t, workerCountCells(), identityCell.name)
+}
+
+// TestIncrementalMatchesFullRecompute runs the analytic memo cells.
+func TestIncrementalMatchesFullRecompute(t *testing.T) {
+	runCells(t, incrementalCells(), func(c identityCell) string { return c.machine + "/" + c.workload + "/" + c.pol })
+}
+
+// TestIncrementalCacheInvalidation drives the memo invalidation surfaces
+// through the two event timelines (growth, churn remaps, hot-set shifts,
+// shrink/free unmaps) under a hook-free and a daemon-heavy policy.
+func TestIncrementalCacheInvalidation(t *testing.T) {
+	churn, free := churnTimeline(), shiftFreeTimeline()
+	for _, spec := range []*workloads.Spec{&churn, &free} {
+		spec := spec
+		t.Run(spec.Name, func(t *testing.T) {
 			t.Parallel()
-			if c.spec != nil && len(c.spec.Events) == 0 {
-				t.Fatalf("timeline %s declares no events; the cell would not exercise invalidation", c.workload)
-			}
-			ref, _ := runIdentity(t, c, 1, true)
-			quietSeen := 0
-			for _, workers := range []int{1, 2, runtime.NumCPU()} {
-				res, quiet := runIdentity(t, c, workers, false)
-				if res != ref {
-					t.Errorf("optimized result at %d workers differs from the reference:\n opt: %+v\n ref: %+v", workers, res, ref)
-				}
-				quietSeen = max(quietSeen, quiet)
-			}
-			if c.wantQuiet && quietSeen == 0 {
-				t.Errorf("cell expected to exercise the quiescent path saw 0 quiet epochs")
-			}
-			if c.workScale == 1.0 {
-				if res8, _ := runIdentity(t, c, 8, true); res8 != ref {
-					t.Errorf("reference result differs between 8 and 1 workers:\n 8w: %+v\n 1w: %+v", res8, ref)
-				}
+			for _, pol := range []string{"Linux4K", "CarrefourLP"} {
+				checkIdentity(t, identityCell{machine: "A", workload: spec.Name, pol: pol, mode: sim.ModeAnalytic, spec: spec, workScale: 0.05})
 			}
 		})
 	}
+}
+
+// TestBatchedAllocMatchesPerPage runs the batched allocation cells.
+func TestBatchedAllocMatchesPerPage(t *testing.T) {
+	runCells(t, allocCells(), identityCell.name)
 }

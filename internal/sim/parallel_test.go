@@ -11,7 +11,7 @@ import (
 
 // The engine's central parallelism contract — sim.Result byte-identical
 // for any worker count — is asserted over *every* policy in
-// TestResultIdenticalAcrossWorkerCounts (policies_parallel_test.go,
+// TestResultIdenticalAcrossWorkerCounts (identity_test.go,
 // external test package: the policy registry imports sim, so the matrix
 // cannot live in this package).
 

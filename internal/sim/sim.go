@@ -94,9 +94,9 @@ type Config struct {
 	// committing batched spans, and policy pipelines run due-gated hooks
 	// even when their gate reports no pending work. Each optimization
 	// must be a pure evaluation-order change, so results are
-	// byte-identical with the switch on or off —
-	// TestResultIdenticalAcrossWorkerCounts compares the two with ==
-	// across a matrix of cells — and, like Workers, the field is
+	// byte-identical with the switch on or off — the identity harness
+	// (identity_test.go) compares the two with == across a matrix of
+	// cells — and, like Workers, the field is
 	// excluded from runcache's content address.
 	Reference bool
 

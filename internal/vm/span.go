@@ -19,7 +19,7 @@ import (
 // with integer counters summed and float accumulators advanced by the
 // same per-touch add sequence, so the run-level path is byte-identical
 // to per-page Region.Access calls (sim's identity harness,
-// TestResultIdenticalAcrossWorkerCounts, checks it against the per-page
+// TestBatchedAllocMatchesPerPage, checks it against the per-page
 // reference path).
 
 // AllocRunKind classifies a run of allocation-phase first-touches.
