@@ -9,22 +9,21 @@
 //
 // Each reports headline reproduction numbers as custom metrics (e.g.
 // CG.D's THP degradation) alongside the usual ns/op. Ablation benchmarks
-// exercise the design decisions called out in DESIGN.md, and
-// micro-benchmarks cover the simulator's hot paths.
+// exercise the design decisions called out in DESIGN.md (the
+// split-granularity ablation flips an unexported switch, so it lives in
+// internal/core), and micro-benchmarks cover the simulator's hot paths.
 package repro_test
 
 import (
 	"testing"
 
 	"repro/internal/carrefour"
-	"repro/internal/core"
 	"repro/internal/ibs"
 	"repro/internal/mem"
 	"repro/internal/policy"
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/thp"
 	"repro/internal/tlb"
 	"repro/internal/topo"
 	"repro/internal/vm"
@@ -136,53 +135,6 @@ func BenchmarkBeyond(b *testing.B) {
 
 // --- Ablations (DESIGN.md §4) ---
 
-// lpVariant runs Carrefour-LP with a custom configuration.
-type lpVariant struct {
-	cfg core.Config
-	thp *thp.THP
-	lp  *core.LP
-}
-
-func (v *lpVariant) Name() string { return "LP-variant" }
-func (v *lpVariant) Setup(env *sim.Env) {
-	v.thp = thp.New(env.Space, thp.DefaultConfig(), env.Costs)
-	env.THP = v.thp
-	v.lp = core.New(v.cfg, carrefour.New(carrefour.DefaultConfig()))
-	v.lp.Bind(v.thp)
-}
-func (v *lpVariant) Tick(env *sim.Env, now float64) float64 {
-	return v.thp.RunPromotionPass() + v.lp.MaybeTick(env, now)
-}
-
-// BenchmarkAblationSplitGranularity compares the paper's
-// split-all-shared-pages rule against splitting only hot pages, on the
-// false-sharing victim UA.B (machine B). The paper's choice exists
-// because per-page LAR estimates are too noisy to pick victims (§3.2.1).
-func BenchmarkAblationSplitGranularity(b *testing.B) {
-	spec, err := workloads.ByName("UA.B")
-	if err != nil {
-		b.Fatal(err)
-	}
-	run := func(shared bool) float64 {
-		cfg := sim.DefaultConfig()
-		cfg.WorkScale = benchScale
-		lpCfg := core.DefaultConfig()
-		lpCfg.SharedSplitEnabled = shared
-		eng, engErr := sim.New(topo.MachineB(), spec, &lpVariant{cfg: lpCfg}, cfg)
-		if engErr != nil {
-			b.Fatal(engErr)
-		}
-		return eng.Run().RuntimeSeconds
-	}
-	for i := 0; i < b.N; i++ {
-		all := run(true)
-		hotOnly := run(false)
-		b.ReportMetric(all, "split-all-s")
-		b.ReportMetric(hotOnly, "hot-only-s")
-		b.ReportMetric((hotOnly/all-1)*100, "hot-only-penalty%")
-	}
-}
-
 // BenchmarkAblationIBSBuffers compares per-node IBS buffers (the paper's
 // §4.3 scalability fix) against a single centralized buffer, at the
 // drain-side cost level.
@@ -233,7 +185,7 @@ func BenchmarkVMAccess(b *testing.B) {
 }
 
 func BenchmarkTLBAssess(b *testing.B) {
-	model := tlb.NewModel(tlb.DefaultConfig())
+	model := tlb.NewModel()
 	segs := []tlb.Segment{
 		{Weight: 0.4, Pages: 100000, Size: mem.Size4K},
 		{Weight: 0.3, Pages: 2048, Size: mem.Size4K},

@@ -221,8 +221,9 @@ func NewInfo() *types.Info {
 
 // ModulePackages walks the module tree and returns the import paths of
 // every package holding at least one non-test Go file, in lexical
-// order. testdata, vendor and hidden directories are skipped, matching
-// the go tool's ./... expansion.
+// order. testdata, vendor and hidden directories are skipped, and so is
+// every directory holding its own go.mod (a nested module, analyzed from
+// its own root), matching the go tool's ./... expansion.
 func (l *Loader) ModulePackages() ([]string, error) {
 	if l.ModulePath == "" {
 		return nil, fmt.Errorf("analysis: loader has no module")
@@ -238,6 +239,11 @@ func (l *Loader) ModulePackages() ([]string, error) {
 		name := d.Name()
 		if p != l.Root && (name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 			return filepath.SkipDir
+		}
+		if p != l.Root {
+			if _, err := os.Stat(filepath.Join(p, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
 		}
 		files, err := sourceFiles(p)
 		if err != nil {

@@ -10,6 +10,10 @@
 // have — 2 MB chunks under THP ("Carrefour-2M"), 4 KB pages otherwise —
 // which is exactly why it cannot fix the hot-page effect or page-level
 // false sharing without the large-page extensions of package core.
+//
+// The daemon's thresholds are package constants (DESIGN.md §4.4), and
+// PassCost is the per-pass overhead that every sample-driven daemon
+// charges.
 package carrefour
 
 import (
@@ -23,42 +27,33 @@ import (
 	"repro/internal/vm"
 )
 
-// Config tunes the daemon.
-type Config struct {
-	// IntervalSeconds is the decision period (1 s in the paper).
-	IntervalSeconds float64
-	// MinSamplesPerPage is the minimum evidence before acting on a page.
-	MinSamplesPerPage int
-	// MemIntensityMin gates the whole daemon: below this DRAM-accesses-
+// The daemon's calibration, as used throughout the evaluation.
+const (
+	// intervalSeconds is the decision period (1 s in the paper).
+	intervalSeconds float64 = 1
+	// minSamplesPerPage is the minimum evidence before acting on a page.
+	minSamplesPerPage int = 2
+	// memIntensityMin gates the whole daemon: below this DRAM-accesses-
 	// per-access ratio the application is not memory-bound and Carrefour
 	// stays off.
-	MemIntensityMin float64
-	// ImbalanceTriggerPct and LARTriggerPct: Carrefour engages when
-	// controller imbalance exceeds the former or LAR falls below the
-	// latter.
-	ImbalanceTriggerPct float64
-	LARTriggerPct       float64
-	// MaxOpsPerInterval bounds page operations per pass.
-	MaxOpsPerInterval int
-	// CyclesPerSample is the bookkeeping cost of processing one sample.
-	CyclesPerSample float64
-	// PassCycles is the fixed cost of one daemon pass.
-	PassCycles float64
-}
+	memIntensityMin float64 = 0.002
+	// Carrefour engages when controller imbalance exceeds
+	// imbalanceTriggerPct or LAR falls below larTriggerPct.
+	imbalanceTriggerPct float64 = 35
+	larTriggerPct       float64 = 80
+	// maxOpsPerInterval bounds page operations per pass.
+	maxOpsPerInterval int = 8192
+	// passCycles is the fixed cost of one daemon pass and cyclesPerSample
+	// the bookkeeping cost of processing one sample.
+	passCycles      float64 = 200000
+	cyclesPerSample float64 = 60
+)
 
-// DefaultConfig returns the calibration used in the evaluation.
-func DefaultConfig() Config {
-	return Config{
-		IntervalSeconds:     1.0,
-		MinSamplesPerPage:   2,
-		MemIntensityMin:     0.002,
-		ImbalanceTriggerPct: 35,
-		LARTriggerPct:       80,
-		MaxOpsPerInterval:   8192,
-		CyclesPerSample:     60,
-		PassCycles:          200000,
-	}
-}
+// PassCost is the overhead cycles of one daemon pass over n IBS samples:
+// a fixed cost plus a per-sample scan cost. Every sample-driven daemon
+// (Carrefour, Carrefour-LP, the Trident ladder, page-table migration)
+// charges it once per interval.
+func PassCost(n int) float64 { return passCycles + float64(n)*cyclesPerSample }
 
 // pageKey identifies a page across intervals.
 type pageKey struct {
@@ -69,8 +64,6 @@ type pageKey struct {
 
 // Carrefour is the daemon state.
 type Carrefour struct {
-	Cfg Config
-
 	lastTick float64
 	tel      sim.Telemetry
 
@@ -83,8 +76,8 @@ type Carrefour struct {
 }
 
 // New builds a daemon.
-func New(cfg Config) *Carrefour {
-	return &Carrefour{Cfg: cfg, interleaved: make(map[pageKey]bool), lastTick: -1e18}
+func New() *Carrefour {
+	return &Carrefour{interleaved: make(map[pageKey]bool), lastTick: -1e18}
 }
 
 // Stats reports cumulative operation counts.
@@ -96,7 +89,7 @@ func (c *Carrefour) Stats() (migrations, interleaves, activations uint64) {
 // cycles; standalone use gathers its own telemetry (pipelines gate the
 // period themselves and hand a shared view to TickWith).
 func (c *Carrefour) MaybeTick(env *sim.Env, now float64) float64 {
-	if now-c.lastTick < c.Cfg.IntervalSeconds {
+	if now-c.lastTick < intervalSeconds {
 		return 0
 	}
 	c.lastTick = now
@@ -107,11 +100,11 @@ func (c *Carrefour) MaybeTick(env *sim.Env, now float64) float64 {
 // telemetry view.
 func (c *Carrefour) TickWith(env *sim.Env, v sim.View) float64 {
 	w := v.Window
-	overhead := c.Cfg.PassCycles + float64(len(v.Samples))*c.Cfg.CyclesPerSample
-	if w.MemIntensity < c.Cfg.MemIntensityMin {
+	overhead := PassCost(len(v.Samples))
+	if w.MemIntensity < memIntensityMin {
 		return overhead
 	}
-	if w.ImbalancePct < c.Cfg.ImbalanceTriggerPct && w.LARPct > c.Cfg.LARTriggerPct {
+	if w.ImbalancePct < imbalanceTriggerPct && w.LARPct > larTriggerPct {
 		return overhead
 	}
 	c.activations++
@@ -133,11 +126,11 @@ func (c *Carrefour) ApplyGroups(env *sim.Env, groups []PageGroup) float64 {
 	var cycles float64
 	ops := 0
 	for i := range groups {
-		if ops >= c.Cfg.MaxOpsPerInterval {
+		if ops >= maxOpsPerInterval {
 			break
 		}
 		g := &groups[i]
-		if g.Count < c.Cfg.MinSamplesPerPage {
+		if g.Count < minSamplesPerPage {
 			continue
 		}
 		key := pageKey{g.Page.Region.ID, g.Page.Chunk, g.Page.Sub}

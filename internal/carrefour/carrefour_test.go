@@ -101,7 +101,7 @@ func TestGroupSamplesDeterministicOrder(t *testing.T) {
 
 func TestApplyMigratesSingleNodePages(t *testing.T) {
 	env, r := testEnv(t)
-	c := New(DefaultConfig())
+	c := New()
 	// Chunk 0 sampled exclusively from node 3.
 	samples := []ibs.Sample{
 		sample(r, 0, 20, 3, true),
@@ -125,7 +125,7 @@ func TestApplyMigratesSingleNodePages(t *testing.T) {
 
 func TestApplyInterleavesMultiNodePagesOnce(t *testing.T) {
 	env, r := testEnv(t)
-	c := New(DefaultConfig())
+	c := New()
 	samples := []ibs.Sample{
 		sample(r, 1, 0, 0, true),
 		sample(r, 1, 6, 1, true),
@@ -146,7 +146,7 @@ func TestApplyInterleavesMultiNodePagesOnce(t *testing.T) {
 
 func TestApplyRespectsMinSamples(t *testing.T) {
 	env, r := testEnv(t)
-	c := New(DefaultConfig())
+	c := New()
 	before := r.ChunkInfo(2).Node
 	c.Apply(env, []ibs.Sample{sample(r, 2, 0, 3, true)}) // single sample
 	if r.ChunkInfo(2).Node != before {
@@ -156,7 +156,7 @@ func TestApplyRespectsMinSamples(t *testing.T) {
 
 func TestMaybeTickInterval(t *testing.T) {
 	env, _ := testEnv(t)
-	c := New(DefaultConfig())
+	c := New()
 	if oh := c.MaybeTick(env, 0.5); oh <= 0 {
 		t.Fatal("first tick should run and cost cycles")
 	}
@@ -170,7 +170,7 @@ func TestMaybeTickInterval(t *testing.T) {
 
 func TestStaleSamplesSkipped(t *testing.T) {
 	env, r := testEnv(t)
-	c := New(DefaultConfig())
+	c := New()
 	// Split chunk 4 after sampling it at 2M granularity.
 	samples := []ibs.Sample{sample(r, 4, 0, 3, true), sample(r, 4, 1, 3, true)}
 	r.SplitChunk(4, env.Costs)

@@ -20,6 +20,9 @@
 // per-sub-page groups often look single-node and the post-split LAR is
 // over-estimated — the exact failure mode §4.1 reports for SSCA, and the
 // reason the conservative component exists.
+//
+// The thresholds above, and the Trident ladder's, are package constants
+// (DESIGN.md §4.4 tabulates them against Algorithm 1's lines).
 package core
 
 import (
@@ -32,52 +35,31 @@ import (
 	"repro/internal/vm"
 )
 
-// Config tunes Carrefour-LP; the defaults are Algorithm 1's thresholds.
-type Config struct {
-	// IntervalSeconds is the monitoring period (line 3: 1 s).
-	IntervalSeconds float64
-	// TLBSharePct enables 2 MB allocation+promotion when the fraction of
+// Algorithm 1's calibration (DESIGN.md §4.4 tabulates it).
+const (
+	// intervalSeconds is the monitoring period (line 3: 1 s).
+	intervalSeconds float64 = 1
+	// tlbSharePct enables 2 MB allocation+promotion when the fraction of
 	// L2 misses from page-table walks exceeds it (line 4: 5%).
-	TLBSharePct float64
-	// FaultSharePct enables 2 MB allocation when any core spends more
+	tlbSharePct float64 = 5
+	// faultSharePct enables 2 MB allocation when any core spends more
 	// than this share of time in the page-fault handler (line 7: 5%).
-	FaultSharePct float64
-	// CarrefourGainPct keeps pages large when placement alone promises at
+	faultSharePct float64 = 5
+	// carrefourGainPct keeps pages large when placement alone promises at
 	// least this LAR improvement (line 10: 15%).
-	CarrefourGainPct float64
-	// SplitGainPct triggers splitting when the split estimate promises at
+	carrefourGainPct float64 = 15
+	// splitGainPct triggers splitting when the split estimate promises at
 	// least this LAR improvement (line 12: 5%).
-	SplitGainPct float64
-	// HotPagePct is the hot-page threshold (line 19: 6% of accesses).
-	HotPagePct float64
-	// MaxSplitsPerInterval bounds demotions per pass.
-	MaxSplitsPerInterval int
-	// SharedSplitEnabled controls line 16's split-all-shared-pages rule.
-	// The paper splits *all* shared 2 MB pages because per-page LAR is
-	// too noisy to pick individual victims (§3.2.1); disabling it (so
-	// only hot pages are ever split) is the ablation DESIGN.md §4.4
-	// describes.
-	SharedSplitEnabled bool
-}
-
-// DefaultConfig returns Algorithm 1's thresholds.
-func DefaultConfig() Config {
-	return Config{
-		IntervalSeconds:      1.0,
-		TLBSharePct:          5,
-		FaultSharePct:        5,
-		CarrefourGainPct:     15,
-		SplitGainPct:         5,
-		HotPagePct:           perf.HotPageThresholdPct,
-		MaxSplitsPerInterval: 16384,
-		SharedSplitEnabled:   true,
-	}
-}
+	splitGainPct float64 = 5
+	// hotPagePct is the hot-page threshold (line 19: 6% of accesses).
+	hotPagePct float64 = perf.HotPageThresholdPct
+	// maxSplitsPerInterval bounds demotions per pass.
+	maxSplitsPerInterval int = 16384
+)
 
 // LP is the Carrefour-LP daemon. Conservative and Reactive can be toggled
 // independently to reproduce Figure 4's component breakdown.
 type LP struct {
-	Cfg Config
 	Car *carrefour.Carrefour
 
 	// Conservative and Reactive enable the two components.
@@ -89,6 +71,15 @@ type LP struct {
 	lastTick   float64
 	tel        sim.Telemetry
 	splitPages bool
+
+	// tlbShare is line 4's threshold, filled from tlbSharePct; a field
+	// so that an in-package test can lower it.
+	tlbShare float64
+	// sharedSplit enables line 16's split-all-shared-pages rule. The
+	// paper splits *all* shared 2 MB pages because per-page LAR is too
+	// noisy to pick individual victims (§3.2.1); with it off only hot
+	// pages are ever split, the ablation DESIGN.md §4.4 describes.
+	sharedSplit bool
 
 	splits     uint64
 	hotSplits  uint64
@@ -105,8 +96,8 @@ type LP struct {
 }
 
 // New builds a Carrefour-LP daemon with both components enabled.
-func New(cfg Config, car *carrefour.Carrefour) *LP {
-	return &LP{Cfg: cfg, Car: car, Conservative: true, Reactive: true, lastTick: -1e18}
+func New(car *carrefour.Carrefour) *LP {
+	return &LP{Car: car, Conservative: true, Reactive: true, lastTick: -1e18, tlbShare: tlbSharePct, sharedSplit: true}
 }
 
 // Bind attaches the THP subsystem whose switches Algorithm 1 toggles.
@@ -129,7 +120,7 @@ func (lp *LP) LastEstimates() (cur, carrefourOnly, split float64) {
 // performance counters and IBS samples). Pipelines gate the period
 // themselves and hand a shared view to TickWith.
 func (lp *LP) MaybeTick(env *sim.Env, now float64) float64 {
-	if now-lp.lastTick < lp.Cfg.IntervalSeconds {
+	if now-lp.lastTick < intervalSeconds {
 		return 0
 	}
 	lp.lastTick = now
@@ -140,17 +131,17 @@ func (lp *LP) MaybeTick(env *sim.Env, now float64) float64 {
 // telemetry view.
 func (lp *LP) TickWith(env *sim.Env, v sim.View) float64 {
 	w, samples := v.Window, v.Samples
-	overhead := lp.Car.Cfg.PassCycles + float64(len(samples))*lp.Car.Cfg.CyclesPerSample
+	overhead := carrefour.PassCost(len(samples))
 
 	if lp.Conservative && lp.thp != nil {
 		// Lines 4-9: re-enable large pages under TLB or fault pressure.
-		if w.PTWSharePct > lp.Cfg.TLBSharePct {
+		if w.PTWSharePct > lp.tlbShare {
 			if !lp.thp.AllocEnabled() || !lp.thp.PromoteEnabled() {
 				lp.reenables++
 			}
 			lp.thp.SetAllocEnabled(true)
 			lp.thp.SetPromoteEnabled(true)
-		} else if w.MaxFaultSharePct > lp.Cfg.FaultSharePct {
+		} else if w.MaxFaultSharePct > faultSharePct {
 			if !lp.thp.AllocEnabled() {
 				lp.reenables++
 			}
@@ -188,19 +179,19 @@ func (lp *LP) reactive(env *sim.Env, samples []ibs.Sample) (groups, subGroups []
 	lp.lastEstCur, lp.lastEstCar, lp.lastEstSpl = cur, carLAR, splitLAR
 
 	// Lines 10-14.
-	if carLAR-cur > lp.Cfg.CarrefourGainPct {
+	if carLAR-cur > carrefourGainPct {
 		lp.splitPages = false
-	} else if splitLAR-cur > lp.Cfg.SplitGainPct {
+	} else if splitLAR-cur > splitGainPct {
 		lp.splitPages = true
 	}
 
 	allocOff := lp.thp != nil && !lp.thp.AllocEnabled()
 
 	// Lines 15-18: split all shared 2 MB pages; disable 2 MB allocation.
-	if (lp.splitPages || allocOff) && lp.Cfg.SharedSplitEnabled {
+	if (lp.splitPages || allocOff) && lp.sharedSplit {
 		splits := 0
 		for i := range groups {
-			if splits >= lp.Cfg.MaxSplitsPerInterval {
+			if splits >= maxSplitsPerInterval {
 				break
 			}
 			g := &groups[i]
@@ -233,7 +224,7 @@ func (lp *LP) reactive(env *sim.Env, samples []ibs.Sample) (groups, subGroups []
 			if g.Page.Sub >= 0 {
 				continue
 			}
-			if g.Weight/total*100 <= lp.Cfg.HotPagePct {
+			if g.Weight/total*100 <= hotPagePct {
 				continue
 			}
 			if g.Page.Region.ChunkInfo(g.Page.Chunk).State != vm.Mapped2M {

@@ -26,8 +26,7 @@ type testPolicy struct{ h *harness }
 
 func (p *testPolicy) Name() string { return "lp-test" }
 func (p *testPolicy) Setup(env *sim.Env) {
-	cfg := thp.DefaultConfig()
-	p.h.thp = thp.New(env.Space, cfg, env.Costs)
+	p.h.thp = thp.New(env.Space, true, env.Costs)
 	env.THP = p.h.thp
 }
 func (p *testPolicy) Tick(*sim.Env, float64) float64 { return 0 }
@@ -54,7 +53,7 @@ func newHarness(t *testing.T) *harness {
 	for ci := 0; ci < h.r.NumChunks(); ci++ {
 		h.r.Access(topo.CoreID(ci%24), ci%24, uint64(ci)*uint64(mem.Size2M))
 	}
-	h.lp = New(DefaultConfig(), carrefour.New(carrefour.DefaultConfig()))
+	h.lp = New(carrefour.New())
 	h.lp.Bind(h.thp)
 	return h
 }
@@ -133,10 +132,10 @@ func TestSharedSplitWhenPlacementCannotHelp(t *testing.T) {
 	h.feed(samples)
 	h.lp.MaybeTick(h.env, 1.0)
 	cur, car, split := h.lp.LastEstimates()
-	if car-cur > h.lp.Cfg.CarrefourGainPct {
+	if car-cur > carrefourGainPct {
 		t.Fatalf("carrefour-only estimate should not promise enough: cur %v car %v", cur, car)
 	}
-	if split-cur <= h.lp.Cfg.SplitGainPct {
+	if split-cur <= splitGainPct {
 		t.Fatalf("split estimate should promise a gain: cur %v split %v", cur, split)
 	}
 	splits, _, _ := h.lp.Stats()
@@ -155,7 +154,7 @@ func TestConservativeReenablesOnTLBPressure(t *testing.T) {
 	// Manufacture TLB pressure by lowering the threshold below any
 	// window's PTW share (which is never negative), so the conservative
 	// decision fires on the next interval.
-	h.lp.Cfg.TLBSharePct = -1 // any pressure re-enables
+	h.lp.tlbShare = -1 // any pressure re-enables
 	h.lp.MaybeTick(h.env, 5.0)
 	if !h.thp.AllocEnabled() || !h.thp.PromoteEnabled() {
 		t.Fatal("conservative component did not re-enable large pages")
@@ -205,5 +204,53 @@ func TestEstimateMisestimationUnderSparseSamples(t *testing.T) {
 	_, car, split := h.lp.LastEstimates()
 	if split <= car+20 {
 		t.Fatalf("split estimate (%v) should greatly exceed the placement estimate (%v)", split, car)
+	}
+}
+
+// lpVariant runs Carrefour-LP on THP with line 16's split-all-shared-
+// pages rule switched on or off.
+type lpVariant struct {
+	sharedSplit bool
+	thp         *thp.THP
+	lp          *LP
+}
+
+func (v *lpVariant) Name() string { return "LP-variant" }
+func (v *lpVariant) Setup(env *sim.Env) {
+	v.thp = thp.New(env.Space, true, env.Costs)
+	env.THP = v.thp
+	v.lp = New(carrefour.New())
+	v.lp.sharedSplit = v.sharedSplit
+	v.lp.Bind(v.thp)
+}
+func (v *lpVariant) Tick(env *sim.Env, now float64) float64 {
+	return v.thp.RunPromotionPass() + v.lp.MaybeTick(env, now)
+}
+
+// BenchmarkAblationSplitGranularity compares the paper's
+// split-all-shared-pages rule against splitting only hot pages, on the
+// false-sharing victim UA.B (machine B) at a tenth of its work. The
+// paper's choice exists because per-page LAR estimates are too noisy to
+// pick victims (§3.2.1).
+func BenchmarkAblationSplitGranularity(b *testing.B) {
+	spec, err := workloads.ByName("UA.B")
+	if err != nil {
+		b.Fatal(err)
+	}
+	run := func(shared bool) float64 {
+		cfg := sim.DefaultConfig()
+		cfg.WorkScale = 0.10
+		eng, engErr := sim.New(topo.MachineB(), spec, &lpVariant{sharedSplit: shared}, cfg)
+		if engErr != nil {
+			b.Fatal(engErr)
+		}
+		return eng.Run().RuntimeSeconds
+	}
+	for i := 0; i < b.N; i++ {
+		all := run(true)
+		hotOnly := run(false)
+		b.ReportMetric(all, "split-all-s")
+		b.ReportMetric(hotOnly, "hot-only-s")
+		b.ReportMetric((hotOnly/all-1)*100, "hot-only-penalty%")
 	}
 }

@@ -71,7 +71,7 @@ func tridentTick(t *testing.T, h *harness, tr *Trident, v sim.View) string {
 	tr.tick++
 	groups := tr.groupScratch.Group(v.Samples, h.env.Machine.Nodes)
 	tr.demote(h.env, v.Samples, groups)
-	if v.Window.PTWSharePct > tr.Cfg.PromotePTWSharePct {
+	if v.Window.PTWSharePct > promotePTWSharePct {
 		tr.promote(h.env)
 	}
 	kind := checkReuse(t, h.env, v.Samples, groups, nil)

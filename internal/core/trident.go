@@ -23,52 +23,36 @@ import (
 	"repro/internal/vm"
 )
 
-// TridentConfig tunes the ladder controller.
-type TridentConfig struct {
-	// IntervalSeconds is the decision period.
-	IntervalSeconds float64
-	// PromotePTWSharePct: spans are promoted to 1 GB only while the
+// The ladder's calibration.
+const (
+	// promotePTWSharePct: spans are promoted to 1 GB only while the
 	// fraction of L2 misses from page-table walks exceeds this (the
 	// conservative component's signal, one rung up).
-	PromotePTWSharePct float64
-	// MaxPromotesPerInterval bounds 1 GB promotions per pass (each one
+	promotePTWSharePct float64 = 5
+	// maxPromotesPerInterval bounds 1 GB promotions per pass (each one
 	// copies up to 1 GB of data).
-	MaxPromotesPerInterval int
-	// DemoteGainPct demotes a shared 1 GB page when 2 MB-granularity
+	maxPromotesPerInterval int = 2
+	// demoteGainPct demotes a shared 1 GB page when 2 MB-granularity
 	// placement promises at least this LAR improvement (Algorithm 1's
 	// split rule, applied to the top rung).
-	DemoteGainPct float64
-	// HotPagePct always demotes a 1 GB page receiving more than this
-	// share of sampled accesses (one page overloading one controller).
-	HotPagePct float64
-	// PromoteCooldownIntervals is how many intervals a freshly demoted
+	demoteGainPct float64 = 5
+	// giantHotPagePct always demotes a 1 GB page receiving more than
+	// this share of sampled accesses (one page overloading one
+	// controller).
+	giantHotPagePct float64 = 12
+	// promoteCooldownIntervals is how many intervals a freshly demoted
 	// span is barred from re-promotion, bounding the cost rate of a
 	// promote/demote oscillation on a span that stays NUMA-harmful.
-	PromoteCooldownIntervals int
-}
-
-// DefaultTridentConfig returns the evaluation calibration.
-func DefaultTridentConfig() TridentConfig {
-	return TridentConfig{
-		IntervalSeconds:          1.0,
-		PromotePTWSharePct:       5,
-		MaxPromotesPerInterval:   2,
-		DemoteGainPct:            5,
-		HotPagePct:               12,
-		PromoteCooldownIntervals: 4,
-	}
-}
+	promoteCooldownIntervals int = 4
+)
 
 // Trident is the ladder daemon. It owns a Carrefour instance for the
 // placement pass, like the LP controller.
 type Trident struct {
-	Cfg TridentConfig
 	Car *carrefour.Carrefour
 
 	thp *thp.THP
 
-	lastTick float64
-	tel      sim.Telemetry
 	// Reused per-tick scratch (see LP).
 	groupScratch carrefour.GroupScratch
 	twoMScratch  carrefour.GroupScratch
@@ -92,8 +76,8 @@ type spanKey struct {
 }
 
 // NewTrident builds a ladder controller.
-func NewTrident(cfg TridentConfig, car *carrefour.Carrefour) *Trident {
-	return &Trident{Cfg: cfg, Car: car, lastTick: -1e18, coolUntil: make(map[spanKey]int)}
+func NewTrident(car *carrefour.Carrefour) *Trident {
+	return &Trident{Car: car, coolUntil: make(map[spanKey]int)}
 }
 
 // Bind attaches the THP subsystem (the ladder's lower rung).
@@ -102,22 +86,13 @@ func (tr *Trident) Bind(t *thp.THP) { tr.thp = t }
 // Stats reports cumulative ladder decisions.
 func (tr *Trident) Stats() (promotes, demotes uint64) { return tr.promotes, tr.demotes }
 
-// MaybeTick runs one interval if due, gathering its own telemetry.
-func (tr *Trident) MaybeTick(env *sim.Env, now float64) float64 {
-	if now-tr.lastTick < tr.Cfg.IntervalSeconds {
-		return 0
-	}
-	tr.lastTick = now
-	return tr.TickWith(env, tr.tel.Gather(env))
-}
-
 // TickWith runs one interval on an externally gathered telemetry view.
 func (tr *Trident) TickWith(env *sim.Env, v sim.View) float64 {
 	tr.tick++
-	overhead := tr.Car.Cfg.PassCycles + float64(len(v.Samples))*tr.Car.Cfg.CyclesPerSample
+	overhead := carrefour.PassCost(len(v.Samples))
 	groups := tr.groupScratch.Group(v.Samples, env.Machine.Nodes)
 	overhead += tr.demote(env, v.Samples, groups)
-	if v.Window.PTWSharePct > tr.Cfg.PromotePTWSharePct {
+	if v.Window.PTWSharePct > promotePTWSharePct {
 		overhead += tr.promote(env)
 	}
 	// Placement at the current granularity (Carrefour skips 1 GB pages:
@@ -144,7 +119,7 @@ func (tr *Trident) demote(env *sim.Env, samples []ibs.Sample, groups []carrefour
 	// 2 MB granularity (remap every sample onto its 2 MB chunk).
 	cur := sampledLAR(groups)
 	twoM := estimatePlacementLAR(tr.twoMScratch.Group(remapTo2MInto(&tr.remapBuf, samples), env.Machine.Nodes), env.Machine.Nodes)
-	splitGain := twoM-cur > tr.Cfg.DemoteGainPct
+	splitGain := twoM-cur > demoteGainPct
 
 	var cycles float64
 	for i := range groups {
@@ -152,7 +127,7 @@ func (tr *Trident) demote(env *sim.Env, samples []ibs.Sample, groups []carrefour
 		if !isGiant(g.Page) {
 			continue
 		}
-		hot := g.Weight/total*100 > tr.Cfg.HotPagePct
+		hot := g.Weight/total*100 > giantHotPagePct
 		shared := g.Threads() >= 2
 		if !hot && !(splitGain && shared) {
 			continue
@@ -161,7 +136,7 @@ func (tr *Trident) demote(env *sim.Env, samples []ibs.Sample, groups []carrefour
 			cycles += cyc
 			tr.demotes++
 			// A freshly demoted span must not bounce straight back up.
-			tr.coolUntil[spanKey{g.Page.Region.ID, g.Page.Chunk}] = tr.tick + tr.Cfg.PromoteCooldownIntervals
+			tr.coolUntil[spanKey{g.Page.Region.ID, g.Page.Chunk}] = tr.tick + promoteCooldownIntervals
 		}
 	}
 	return cycles
@@ -178,7 +153,7 @@ func (tr *Trident) promote(env *sim.Env) float64 {
 			continue
 		}
 		for head := 0; head < r.NumChunks(); head += vm.ChunksPerGiant {
-			if promoted >= tr.Cfg.MaxPromotesPerInterval {
+			if promoted >= maxPromotesPerInterval {
 				return cycles
 			}
 			if tr.tick < tr.coolUntil[spanKey{r.ID, head}] {

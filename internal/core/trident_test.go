@@ -14,7 +14,7 @@ import (
 func newTridentHarness(t *testing.T) (*harness, *Trident) {
 	t.Helper()
 	h := newHarness(t)
-	tr := NewTrident(DefaultTridentConfig(), carrefour.New(carrefour.DefaultConfig()))
+	tr := NewTrident(carrefour.New())
 	tr.Bind(h.thp)
 	return h, tr
 }
@@ -71,7 +71,7 @@ func TestTridentDemotesSharedGiantWhenSplitHelps(t *testing.T) {
 	}
 	// A freshly demoted span sits out PromoteCooldownIntervals ticks
 	// (ladder oscillation guard), even under sustained pressure.
-	for i := 0; i < tr.Cfg.PromoteCooldownIntervals-1; i++ {
+	for i := 0; i < promoteCooldownIntervals-1; i++ {
 		tr.TickWith(h.env, sim.View{Window: sim.WindowMetrics{PTWSharePct: 10}})
 		if h.r.ChunkInfo(0).State != vm.Mapped2M {
 			t.Fatalf("ladder re-promoted %d intervals after a demotion", i+1)

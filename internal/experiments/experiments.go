@@ -657,18 +657,13 @@ func ByID(id string, cfg Config) (Result, error) {
 // unique cell is simulated once, and every experiment renders from the
 // shared matrix.
 func All(sched *runcache.Scheduler, cfg Config) ([]Result, error) {
-	return AllContext(context.Background(), sched, cfg)
-}
-
-// AllContext is All with cancellation semantics as in ByIDContext.
-func AllContext(ctx context.Context, sched *runcache.Scheduler, cfg Config) ([]Result, error) {
 	if sched == nil {
 		sched = runcache.New(0)
 	}
 	defs := definitions()
 	out := make([]Result, 0, len(defs))
 	for _, def := range defs {
-		res, err := runDefinition(ctx, def, cfg, sched)
+		res, err := runDefinition(context.Background(), def, cfg, sched)
 		if err != nil {
 			return nil, err
 		}
@@ -695,47 +690,3 @@ func IDs() []string {
 	}
 	return ids
 }
-
-// Figure1 compares THP against default Linux on the full suite (§2.2).
-func Figure1(cfg Config) (Result, error) { return ByID("fig1", cfg) }
-
-// Figure2 compares Carrefour-2M and THP on the reduced set (§3.1).
-func Figure2(cfg Config) (Result, error) { return ByID("fig2", cfg) }
-
-// Figure3 compares Carrefour-LP and THP on the reduced set (§4.1).
-func Figure3(cfg Config) (Result, error) { return ByID("fig3", cfg) }
-
-// Figure4 breaks Carrefour-LP into its components (§4.1).
-func Figure4(cfg Config) (Result, error) { return ByID("fig4", cfg) }
-
-// Figure5 shows the unaffected applications (§4.1).
-func Figure5(cfg Config) (Result, error) { return ByID("fig5", cfg) }
-
-// Table1 regenerates the detailed Linux-vs-THP analysis (§2.2).
-func Table1(cfg Config) (Result, error) { return ByID("table1", cfg) }
-
-// Table2 regenerates the hot-page / false-sharing metrics on machine A
-// (§3.1).
-func Table2(cfg Config) (Result, error) { return ByID("table2", cfg) }
-
-// Table3 regenerates the NUMA metrics across all four configurations
-// (§4.1).
-func Table3(cfg Config) (Result, error) { return ByID("table3", cfg) }
-
-// Overhead regenerates the §4.2 overhead assessment.
-func Overhead(cfg Config) (Result, error) { return ByID("overhead", cfg) }
-
-// VeryLarge regenerates §4.4: 1 GB pages on SSCA and streamcluster.
-func VeryLarge(cfg Config) (Result, error) { return ByID("verylarge", cfg) }
-
-// Beyond regenerates the beyond-the-paper page-table placement and
-// 1 GB-ladder comparison.
-func Beyond(cfg Config) (Result, error) { return ByID("beyond", cfg) }
-
-// Dynamic regenerates the dynamic-workload section: event-timeline
-// churn versus the static suite.
-func Dynamic(cfg Config) (Result, error) { return ByID("dynamic", cfg) }
-
-// FullScale regenerates the full-scale (WorkScale 1.0) machine-B sweep
-// on the analytic engine.
-func FullScale(cfg Config) (Result, error) { return ByID("fullscale", cfg) }

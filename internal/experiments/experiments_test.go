@@ -38,7 +38,7 @@ func TestIDsComplete(t *testing.T) {
 // beyond-the-paper policies on both machines with deterministic
 // improvement values over the PTBaseline control.
 func TestBeyondShape(t *testing.T) {
-	res, err := Beyond(quick)
+	res, err := ByID("beyond", quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestBeyondShape(t *testing.T) {
 // fragmentation pair (WC → WC.churn) strips the huge-page win from
 // every THP-family policy.
 func TestDynamicShape(t *testing.T) {
-	res, err := Dynamic(quick)
+	res, err := ByID("dynamic", quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestDynamicShape(t *testing.T) {
 }
 
 func TestVeryLargeShape(t *testing.T) {
-	res, err := VeryLarge(quick)
+	res, err := ByID("verylarge", quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestVeryLargeShape(t *testing.T) {
 }
 
 func TestTable2Shape(t *testing.T) {
-	res, err := Table2(quick)
+	res, err := ByID("table2", quick)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,17 +37,14 @@ func (p *legacyPolicy) Name() string { return p.name }
 
 func (p *legacyPolicy) Setup(env *sim.Env) {
 	if p.attachTHP {
-		cfg := thp.DefaultConfig()
-		cfg.AllocEnabled = p.thpOn
-		cfg.PromoteEnabled = p.thpOn
-		p.thpSys = thp.New(env.Space, cfg, env.Costs)
+		p.thpSys = thp.New(env.Space, p.thpOn, env.Costs)
 		env.THP = p.thpSys
 	}
 	if p.carrefour || p.lpCons || p.lpReact {
-		p.car = carrefour.New(carrefour.DefaultConfig())
+		p.car = carrefour.New()
 	}
 	if p.lpCons || p.lpReact {
-		p.lp = core.New(core.DefaultConfig(), p.car)
+		p.lp = core.New(p.car)
 		p.lp.Conservative = p.lpCons
 		p.lp.Reactive = p.lpReact
 		p.lp.Bind(p.thpSys)

@@ -27,10 +27,7 @@ func (m pageSize) Describe() string {
 }
 
 func (m pageSize) Install(env *sim.Env, pl *Pipeline) {
-	cfg := thp.DefaultConfig()
-	cfg.AllocEnabled = m.start2M
-	cfg.PromoteEnabled = m.start2M
-	t := thp.New(env.Space, cfg, env.Costs)
+	t := thp.New(env.Space, m.start2M, env.Costs)
 	env.THP = t
 	pl.thpSys = t
 	// Dirty-gated: the pass is a contractual no-op while PendingWork is
@@ -71,18 +68,21 @@ func (giantPages) Install(env *sim.Env, _ *Pipeline) {
 	}
 }
 
+// daemonIntervalSeconds is the decision period of every sample-driven
+// daemon: Algorithm 1's 1 s interval (line 3), which the Carrefour,
+// Trident and page-table migration passes share.
+const daemonIntervalSeconds float64 = 1
+
 // placement runs the standalone Carrefour migration/interleaving daemon.
-type placement struct {
-	cfg carrefour.Config
-}
+type placement struct{}
 
 func (placement) Describe() string { return "placement: Carrefour daemon" }
 
-func (m placement) Install(env *sim.Env, pl *Pipeline) {
-	car := carrefour.New(m.cfg)
+func (placement) Install(env *sim.Env, pl *Pipeline) {
+	car := carrefour.New()
 	pl.car = car
 	pl.NeedsTelemetry()
-	pl.Every("carrefour", m.cfg.IntervalSeconds, func(env *sim.Env, now float64) float64 {
+	pl.Every("carrefour", daemonIntervalSeconds, func(env *sim.Env, now float64) float64 {
 		return car.TickWith(env, pl.View(env, now))
 	})
 }
@@ -99,35 +99,33 @@ func (m lpControl) Describe() string {
 }
 
 func (m lpControl) Install(env *sim.Env, pl *Pipeline) {
-	car := carrefour.New(carrefour.DefaultConfig())
-	lp := core.New(core.DefaultConfig(), car)
+	car := carrefour.New()
+	lp := core.New(car)
 	lp.Conservative = m.conservative
 	lp.Reactive = m.reactive
 	lp.Bind(pl.thpSys)
 	pl.car = car
 	pl.lp = lp
 	pl.NeedsTelemetry()
-	pl.Every("carrefour-lp", lp.Cfg.IntervalSeconds, func(env *sim.Env, now float64) float64 {
+	pl.Every("carrefour-lp", daemonIntervalSeconds, func(env *sim.Env, now float64) float64 {
 		return lp.TickWith(env, pl.View(env, now))
 	})
 }
 
 // tridentLadder runs the 4K/2M/1G ladder controller with
 // Carrefour-LP-style demotion.
-type tridentLadder struct {
-	cfg core.TridentConfig
-}
+type tridentLadder struct{}
 
 func (tridentLadder) Describe() string { return "controller: Trident 4K/2M/1G ladder" }
 
-func (m tridentLadder) Install(env *sim.Env, pl *Pipeline) {
-	car := carrefour.New(carrefour.DefaultConfig())
-	tr := core.NewTrident(m.cfg, car)
+func (tridentLadder) Install(env *sim.Env, pl *Pipeline) {
+	car := carrefour.New()
+	tr := core.NewTrident(car)
 	tr.Bind(pl.thpSys)
 	pl.car = car
 	pl.trident = tr
 	pl.NeedsTelemetry()
-	pl.Every("trident", m.cfg.IntervalSeconds, func(env *sim.Env, now float64) float64 {
+	pl.Every("trident", daemonIntervalSeconds, func(env *sim.Env, now float64) float64 {
 		return tr.TickWith(env, pl.View(env, now))
 	})
 }
@@ -152,11 +150,16 @@ const (
 // the placement schemes.
 type pageTables struct {
 	mode PTMode
-	// migrate-mode tuning
-	walkSharePct    float64 // act only when the window's PTW share exceeds this
-	minGainPct      float64 // required reduction of expected walk fabric latency
-	intervalSeconds float64
 }
+
+// Migrate-mode thresholds: act on ≥2% walk share (well below the
+// conservative component's 5% alarm threshold — moving page tables is
+// far cheaper than toggling page sizes) and require the move to cut the
+// sampled accessors' expected walk fabric latency by 10%.
+const (
+	ptMigPressurePct   float64 = 2
+	ptMigLatencyCutPct float64 = 10
+)
 
 func (m pageTables) Describe() string {
 	switch m.mode {
@@ -178,19 +181,10 @@ func (m pageTables) Install(env *sim.Env, pl *Pipeline) {
 		return
 	}
 	pl.NeedsTelemetry()
-	pl.Every("pt-migrate", m.intervalSeconds, func(env *sim.Env, now float64) float64 {
-		return migratePageTables(env, pl.View(env, now), m.walkSharePct, m.minGainPct)
+	pl.Every("pt-migrate", daemonIntervalSeconds, func(env *sim.Env, now float64) float64 {
+		return migratePageTables(env, pl.View(env, now))
 	})
 }
-
-// The pt-migrate daemon's bookkeeping costs, charged every pass like
-// the other daemons (same calibration as carrefour.DefaultConfig: a
-// fixed pass cost plus a per-sample scan cost) — without them the
-// beyond experiment would compare policies under unlike cost models.
-const (
-	ptMigPassCycles      = 200000
-	ptMigCyclesPerSample = 60
-)
 
 // migratePageTables is the NumaPTEMig daemon pass: when the interval's
 // page-walk share of L2 misses crosses the threshold, each region's
@@ -198,12 +192,14 @@ const (
 // the sampled accessors' expected fabric latency to the page tables
 // (under a symmetric fabric that is the plurality accessor; on machine
 // B's two-hop topology centrality matters too) — provided the move cuts
-// that latency by at least minGainPct. The accessor distribution comes
-// from the shared IBS view — the hardware-visible evidence — not from
-// ground truth.
-func migratePageTables(env *sim.Env, v sim.View, walkSharePct, minGainPct float64) float64 {
-	overhead := ptMigPassCycles + float64(len(v.Samples))*ptMigCyclesPerSample
-	if v.Window.PTWSharePct < walkSharePct {
+// that latency by at least ptMigLatencyCutPct. The accessor distribution
+// comes from the shared IBS view — the hardware-visible evidence — not
+// from ground truth. Each pass pays carrefour.PassCost like the other
+// daemons; without it the beyond experiment would compare policies
+// under unlike cost models.
+func migratePageTables(env *sim.Env, v sim.View) float64 {
+	overhead := carrefour.PassCost(len(v.Samples))
+	if v.Window.PTWSharePct < ptMigPressurePct {
 		return overhead
 	}
 	regions := env.Space.Regions()
@@ -246,7 +242,7 @@ func migratePageTables(env *sim.Env, v sim.View, walkSharePct, minGainPct float6
 				best, bestCost = n, c
 			}
 		}
-		if bestCost > cur*(1-minGainPct/100) {
+		if bestCost > cur*(1-ptMigLatencyCutPct/100) {
 			continue
 		}
 		if r.MigratePT(topo.NodeID(best)) {

@@ -39,8 +39,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/carrefour"
-	"repro/internal/core"
 	"repro/internal/sim"
 )
 
@@ -61,21 +59,7 @@ type LPSpec struct {
 // with and without a PageTableSpec are not directly comparable.
 type PageTableSpec struct {
 	Mode PTMode
-	// Migrate-mode thresholds (zero values take the defaults below).
-	WalkSharePct    float64
-	MinGainPct      float64
-	IntervalSeconds float64
 }
-
-// Migrate-mode defaults: act on ≥2% walk share (well below the
-// conservative component's 5% alarm threshold — moving page tables is
-// far cheaper than toggling page sizes) and require the move to cut the
-// sampled accessors' expected walk fabric latency by 10%.
-const (
-	defaultPTWalkSharePct = 2
-	defaultPTMinGainPct   = 10
-	defaultPTIntervalSec  = 1.0
-)
 
 // Spec declares one named policy as a composition of mechanisms. Nil or
 // false fields leave the mechanism out; the zero Spec is default Linux.
@@ -108,31 +92,16 @@ func Build(spec Spec) *Pipeline {
 		mechs = append(mechs, giantPages{})
 	}
 	if spec.Carrefour {
-		mechs = append(mechs, placement{cfg: carrefour.DefaultConfig()})
+		mechs = append(mechs, placement{})
 	}
 	if spec.LP != nil {
 		mechs = append(mechs, lpControl{conservative: spec.LP.Conservative, reactive: spec.LP.Reactive})
 	}
 	if spec.Trident {
-		mechs = append(mechs, tridentLadder{cfg: core.DefaultTridentConfig()})
+		mechs = append(mechs, tridentLadder{})
 	}
 	if spec.PageTables != nil {
-		pt := *spec.PageTables
-		if pt.WalkSharePct == 0 {
-			pt.WalkSharePct = defaultPTWalkSharePct
-		}
-		if pt.MinGainPct == 0 {
-			pt.MinGainPct = defaultPTMinGainPct
-		}
-		if pt.IntervalSeconds == 0 {
-			pt.IntervalSeconds = defaultPTIntervalSec
-		}
-		mechs = append(mechs, pageTables{
-			mode:            pt.Mode,
-			walkSharePct:    pt.WalkSharePct,
-			minGainPct:      pt.MinGainPct,
-			intervalSeconds: pt.IntervalSeconds,
-		})
+		mechs = append(mechs, pageTables{mode: spec.PageTables.Mode})
 	}
 	return NewPipeline(spec.Name, mechs...)
 }
@@ -174,49 +143,6 @@ func SpecByName(name string) (Spec, error) {
 		}
 	}
 	return Spec{}, fmt.Errorf("%w %q", ErrUnknownPolicy, name)
-}
-
-// Linux4K is default Linux with 4 KB pages.
-func Linux4K() sim.OS { return mustBuild("Linux4K") }
-
-// THP is Linux with Transparent Huge Pages enabled.
-func THP() sim.OS { return mustBuild("THP") }
-
-// Carrefour2M is THP plus Carrefour page placement.
-func Carrefour2M() sim.OS { return mustBuild("Carrefour2M") }
-
-// Conservative is 4 KB Carrefour plus only the conservative component.
-func Conservative() sim.OS { return mustBuild("Conservative") }
-
-// Reactive is THP plus Carrefour plus only the reactive component.
-func Reactive() sim.OS { return mustBuild("Reactive") }
-
-// CarrefourLP is the full Algorithm 1.
-func CarrefourLP() sim.OS { return mustBuild("CarrefourLP") }
-
-// HugeTLB1G reserves 1 GB pages for every region up front (§4.4).
-func HugeTLB1G() sim.OS { return mustBuild("HugeTLB1G") }
-
-// PTBaseline is 4 KB pages under NUMA-aware page-table pricing with
-// first-touch page tables: the control the beyond-the-paper page-table
-// policies are measured against.
-func PTBaseline() sim.OS { return mustBuild("PTBaseline") }
-
-// MitosisPTR replicates page tables on every node.
-func MitosisPTR() sim.OS { return mustBuild("MitosisPTR") }
-
-// NumaPTEMig migrates page tables to the dominant accessor node.
-func NumaPTEMig() sim.OS { return mustBuild("NumaPTEMig") }
-
-// TridentLP runs the 4K/2M/1G ladder with Carrefour-LP-style demotion.
-func TridentLP() sim.OS { return mustBuild("TridentLP") }
-
-func mustBuild(name string) *Pipeline {
-	spec, err := SpecByName(name)
-	if err != nil {
-		panic(err)
-	}
-	return Build(spec)
 }
 
 // ByName constructs a fresh policy instance by name.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/carrefour"
 	"repro/internal/ibs"
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -34,6 +35,14 @@ func setup(t *testing.T, pol sim.OS) *sim.Env {
 	return eng.Env()
 }
 
+func mustBuild(name string) *Pipeline {
+	spec, err := SpecByName(name)
+	if err != nil {
+		panic(err)
+	}
+	return Build(spec)
+}
+
 func TestByNameRoundTrip(t *testing.T) {
 	for _, name := range Names() {
 		p, err := ByName(name)
@@ -50,7 +59,7 @@ func TestByNameRoundTrip(t *testing.T) {
 }
 
 func TestLinux4KHasNoTHP(t *testing.T) {
-	env := setup(t, Linux4K())
+	env := setup(t, mustBuild("Linux4K"))
 	if env.THP != nil {
 		t.Fatal("Linux4K attached a THP subsystem")
 	}
@@ -61,7 +70,7 @@ func TestLinux4KHasNoTHP(t *testing.T) {
 }
 
 func TestTHPPolicyBacks2M(t *testing.T) {
-	env := setup(t, THP())
+	env := setup(t, mustBuild("THP"))
 	if env.THP == nil || !env.THP.AllocEnabled() || !env.THP.PromoteEnabled() {
 		t.Fatal("THP policy did not enable the subsystem")
 	}
@@ -72,7 +81,7 @@ func TestTHPPolicyBacks2M(t *testing.T) {
 }
 
 func TestConservativeStartsSmall(t *testing.T) {
-	pol := Conservative().(*Pipeline)
+	pol := mustBuild("Conservative")
 	env := setup(t, pol)
 	if env.THP == nil {
 		t.Fatal("Conservative needs a THP subsystem (to enable later)")
@@ -86,7 +95,7 @@ func TestConservativeStartsSmall(t *testing.T) {
 }
 
 func TestReactiveStartsLarge(t *testing.T) {
-	pol := Reactive().(*Pipeline)
+	pol := mustBuild("Reactive")
 	env := setup(t, pol)
 	if !env.THP.AllocEnabled() {
 		t.Fatal("Reactive must start with 2M pages (Algorithm 1 line 1)")
@@ -97,7 +106,7 @@ func TestReactiveStartsLarge(t *testing.T) {
 }
 
 func TestCarrefourLPHasBothComponents(t *testing.T) {
-	pol := CarrefourLP().(*Pipeline)
+	pol := mustBuild("CarrefourLP")
 	env := setup(t, pol)
 	if !env.THP.AllocEnabled() || !env.THP.PromoteEnabled() {
 		t.Fatal("Carrefour-LP starts with allocation and promotion enabled")
@@ -112,7 +121,7 @@ func TestCarrefourLPHasBothComponents(t *testing.T) {
 }
 
 func TestCarrefour2MHasOnlyPlacement(t *testing.T) {
-	pol := Carrefour2M().(*Pipeline)
+	pol := mustBuild("Carrefour2M")
 	setup(t, pol)
 	if pol.LP() != nil {
 		t.Fatal("Carrefour2M must not run LP components")
@@ -123,7 +132,7 @@ func TestCarrefour2MHasOnlyPlacement(t *testing.T) {
 }
 
 func TestHugeTLB1GMapsEverything(t *testing.T) {
-	env := setup(t, HugeTLB1G())
+	env := setup(t, mustBuild("HugeTLB1G"))
 	r := env.Space.Regions()[0]
 	_, _, n1g := r.MappedPages()
 	if n1g != 2 {
@@ -140,7 +149,7 @@ func TestHugeTLB1GMapsEverything(t *testing.T) {
 }
 
 func TestMitosisReplicatesPageTables(t *testing.T) {
-	env := setup(t, MitosisPTR())
+	env := setup(t, mustBuild("MitosisPTR"))
 	if env.PageTables == nil || !env.PageTables.Replicated {
 		t.Fatal("MitosisPTR must enable replicated page-table pricing")
 	}
@@ -150,7 +159,7 @@ func TestMitosisReplicatesPageTables(t *testing.T) {
 }
 
 func TestPTBaselineEnablesPricingOnly(t *testing.T) {
-	env := setup(t, PTBaseline())
+	env := setup(t, mustBuild("PTBaseline"))
 	if env.PageTables == nil || env.PageTables.Replicated {
 		t.Fatal("PTBaseline must price first-touch page tables, unreplicated")
 	}
@@ -163,7 +172,7 @@ func TestPTBaselineEnablesPricingOnly(t *testing.T) {
 }
 
 func TestNumaPTEMigMigratesOnPressure(t *testing.T) {
-	pol := NumaPTEMig().(*Pipeline)
+	pol := mustBuild("NumaPTEMig")
 	env := setup(t, pol)
 	if env.PageTables == nil || env.PageTables.Replicated {
 		t.Fatal("NumaPTEMig prices unreplicated page tables")
@@ -188,7 +197,7 @@ func TestNumaPTEMigMigratesOnPressure(t *testing.T) {
 
 	// Without walk pressure the daemon must not move the page tables,
 	// but it still pays its scan overhead.
-	if oh := migratePageTables(env, sim.View{Samples: samples}, 2, 10); oh <= 0 {
+	if oh := migratePageTables(env, sim.View{Samples: samples}); oh <= 0 {
 		t.Fatal("gated pass charged no scan overhead")
 	}
 	if home, _ := r.PTHome(); home != 0 {
@@ -196,15 +205,15 @@ func TestNumaPTEMigMigratesOnPressure(t *testing.T) {
 	}
 	// Under pressure the page tables follow the dominant accessor, and
 	// the pass charges migration cycles beyond the scan overhead.
-	moved := migratePageTables(env, pressured, 2, 10)
+	moved := migratePageTables(env, pressured)
 	if home, _ := r.PTHome(); home != 2 {
 		t.Fatalf("PT home = %v, want dominant accessor node 2", home)
 	}
-	if moved <= ptMigPassCycles+float64(len(samples))*ptMigCyclesPerSample {
+	if moved <= carrefour.PassCost(len(samples)) {
 		t.Fatalf("migrating pass cycles = %v, want scan overhead plus copy cost", moved)
 	}
 	// A repeat pass is a no-op: already home, no extra copy cost.
-	again := migratePageTables(env, pressured, 2, 10)
+	again := migratePageTables(env, pressured)
 	if home, _ := r.PTHome(); home != 2 {
 		t.Fatal("page tables drifted on a no-op pass")
 	}
@@ -214,7 +223,7 @@ func TestNumaPTEMigMigratesOnPressure(t *testing.T) {
 }
 
 func TestTridentLPComposition(t *testing.T) {
-	pol := TridentLP().(*Pipeline)
+	pol := mustBuild("TridentLP")
 	env := setup(t, pol)
 	if pol.Trident() == nil {
 		t.Fatal("TridentLP must run the ladder controller")
@@ -228,7 +237,7 @@ func TestTridentLPComposition(t *testing.T) {
 }
 
 func TestMechanismsDescribeComposition(t *testing.T) {
-	pol := CarrefourLP().(*Pipeline)
+	pol := mustBuild("CarrefourLP")
 	mechs := pol.Mechanisms()
 	if len(mechs) != 2 {
 		t.Fatalf("CarrefourLP composes %d mechanisms, want 2 (page-size, LP): %v", len(mechs), mechs)
@@ -236,7 +245,7 @@ func TestMechanismsDescribeComposition(t *testing.T) {
 }
 
 func TestPolicyTickRunsDaemons(t *testing.T) {
-	pol := CarrefourLP().(*Pipeline)
+	pol := mustBuild("CarrefourLP")
 	env := setup(t, pol)
 	r := env.Space.Regions()[0]
 	for ci := 0; ci < 8; ci++ {

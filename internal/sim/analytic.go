@@ -222,7 +222,7 @@ func (e *Engine) applyContention(src int, latRow, fabRow []float64, mlp float64,
 	// Translation expectation shared by every region: L2-TLB hits plus
 	// the location-blind walk cost (the per-region NUMA surcharge of
 	// page-table pricing is added below).
-	transBase := assess.L2Hit*e.tlbModel.Cfg.L2HitCycles + assess.Miss*assess.WalkCycles
+	transBase := assess.CostPerAccess()
 	sumCost := g.base + g.wSum*transBase
 	var dramLat float64
 	for h, a := range g.homeAgg {

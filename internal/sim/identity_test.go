@@ -16,6 +16,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/topo"
@@ -67,12 +68,12 @@ func workerCountCells() []identityCell {
 
 // incrementalCells covers the analytic memos' invalidation surfaces: a
 // hook-free policy, a daemon that bumps Region.Gen mid-run, 1 GB pages on
-// machine B, two timelines, and two full-scale cells whose long steady
+// machine B, three timelines, and two full-scale cells whose long steady
 // stretches let the latency EWMA reach its float fixed point, so
 // quiescent epochs occur — one of them THP, whose khugepaged hook is
 // due-gated on pending promotions.
 func incrementalCells() []identityCell {
-	churn, free := churnTimeline(), shiftFreeTimeline()
+	churn, free, weights := churnTimeline(), shiftFreeTimeline(), weightOnlyTimeline()
 	a := sim.ModeAnalytic
 	return []identityCell{
 		{machine: "A", workload: "UA.B", pol: "Linux4K", mode: a, workScale: 0.05},
@@ -82,7 +83,21 @@ func incrementalCells() []identityCell {
 		{machine: "A", workload: "SSCA.20", pol: "THP", mode: a, workScale: 1.0, wantQuiet: true},
 		{machine: "A", workload: churn.Name, pol: "THP", mode: a, spec: &churn, workScale: 0.05},
 		{machine: "A", workload: free.Name, pol: "TridentLP", mode: a, spec: &free, workScale: 0.05},
+		{machine: "A", workload: weights.Name, pol: "Linux4K", mode: a, spec: &weights, workScale: 0.05},
 	}
+}
+
+// weightOnlyTimeline frees a weight-0 lazy region that was never
+// faulted in while the live regions' weights shift. The free releases
+// nothing, so no Region.Gen moves: only the phase-table length tells
+// the analytic engine that the TLB assessment (a function of the
+// weights) is stale.
+func weightOnlyTimeline() workloads.Spec {
+	spec := shiftFreeTimeline()
+	spec.Name = "weights.eq"
+	spec.Regions = append(spec.Regions, workloads.RegionSpec{Name: "spare", Bytes: 16 << 20, Loc: cache.RandomUniform, SkipInit: true})
+	spec.Events = []workloads.EventSpec{{AtWorkFrac: 0.40, FreeRegion: "spare", Weights: []float64{0.15, 0.85, 0}}}
+	return spec
 }
 
 // allocCells covers every run kind of the batched allocation path: 4 KB

@@ -266,12 +266,6 @@ func resize(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// Window computes metrics for the interval between two snapshots.
-func Window(from, to Snapshot) WindowMetrics {
-	var ws WindowScratch
-	return ws.Window(from, to)
-}
-
 // Result summarizes one run.
 type Result struct {
 	Workload string
@@ -461,7 +455,7 @@ func New(m *topo.Machine, spec workloads.Spec, policy OS, cfg Config) (*Engine, 
 		wl:       wl,
 		os:       policy,
 		hier:     cache.Default(),
-		tlbModel: tlb.NewModel(tlb.DefaultConfig()),
+		tlbModel: tlb.NewModel(),
 		rng:      stats.NewRng(cfg.Seed),
 		ibs:      ibs.DefaultConfig(),
 		maxAlloc: maxAllocPerEpoch,
@@ -670,8 +664,10 @@ func (e *Engine) snapshotEpoch() {
 	}
 	if incr {
 		// Events rewrite region weights and extend the phase table
-		// without touching any mapping; the phase-table length is the
-		// cheap proxy that catches them.
+		// without touching any mapping — freeing a never-faulted region
+		// releases nothing and bumps no Gen (the weights.eq identity
+		// cell) — so the phase-table length is the cheap proxy that
+		// catches them.
 		if n := e.wl.NumPhases(); n != e.numPhases {
 			e.numPhases = n
 			moved = true
@@ -1110,7 +1106,6 @@ func (e *Engine) priceSteady(t, epoch int, epochCycles float64, assess tlb.Asses
 	s := px.s
 	rng := &s.rng
 	spec := e.wl.Spec
-	tlbCfg := e.tlbModel.Cfg
 	core := px.core
 	src := px.src
 	startBudget := px.startBudget
@@ -1149,7 +1144,7 @@ func (e *Engine) priceSteady(t, epoch int, epochCycles float64, assess tlb.Asses
 		u := rng.Float64()
 		if u >= assess.L1Hit {
 			if u < assess.L1Hit+assess.L2Hit {
-				cost += tlbCfg.L2HitCycles
+				cost += tlb.L2HitCycles
 			} else {
 				cost += assess.WalkCycles
 				tlbMiss++

@@ -40,7 +40,7 @@ type thpOn struct{ t *thp.THP }
 
 func (*thpOn) Name() string { return "THP" }
 func (p *thpOn) Setup(env *Env) {
-	p.t = thp.New(env.Space, thp.DefaultConfig(), env.Costs)
+	p.t = thp.New(env.Space, true, env.Costs)
 	env.THP = p.t
 }
 func (p *thpOn) Tick(env *Env, now float64) float64 { return p.t.RunPromotionPass() }
@@ -140,7 +140,7 @@ func TestWindowMetrics(t *testing.T) {
 		CtrlRequests: []float64{40, 0, 0, 0},
 		Cycles:       1000,
 	}
-	w := Window(from, to)
+	w := new(WindowScratch).Window(from, to)
 	if w.LARPct != 75 {
 		t.Fatalf("LAR = %v", w.LARPct)
 	}

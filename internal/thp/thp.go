@@ -5,7 +5,9 @@
 // a 2 MB page ("promotion", checked every 10 ms in the paper's setup).
 //
 // The two switches — 2 MB allocation and 2 MB promotion — are exactly the
-// knobs Carrefour-LP's Algorithm 1 toggles (lines 4-9 and 15-18).
+// knobs Carrefour-LP's Algorithm 1 toggles (lines 4-9 and 15-18). Both
+// start from New's one start switch; the khugepaged calibration is a
+// pair of package constants.
 package thp
 
 import (
@@ -13,38 +15,28 @@ import (
 	"repro/internal/vm"
 )
 
-// Config tunes the THP subsystem.
-type Config struct {
-	// AllocEnabled backs anonymous-memory faults with 2 MB pages.
-	AllocEnabled bool
-	// PromoteEnabled lets the promotion daemon consolidate 4 KB pages.
-	PromoteEnabled bool
-	// PromoteMinSubs is the number of mapped 4 KB pages a chunk needs
-	// before promotion is attempted (khugepaged fills small holes).
-	PromoteMinSubs int
-	// PromoteMaxPerPass bounds the chunks promoted per daemon pass, like
+// The khugepaged calibration matching the paper's setup.
+const (
+	// promoteMinSubs is the number of mapped 4 KB pages a chunk needs
+	// before promotion is attempted: khugepaged fills up to 64 unmapped
+	// holes out of 512.
+	promoteMinSubs int = 448
+	// promoteMaxPerPass bounds the chunks promoted per daemon pass, like
 	// khugepaged's scan quantum.
-	PromoteMaxPerPass int
-	// IntervalSeconds is the promotion check period (10 ms in the paper).
-	IntervalSeconds float64
-}
-
-// DefaultConfig returns THP-on defaults matching the paper's setup.
-func DefaultConfig() Config {
-	return Config{
-		AllocEnabled:      true,
-		PromoteEnabled:    true,
-		PromoteMinSubs:    448, // allow up to 64 unmapped holes out of 512
-		PromoteMaxPerPass: 5,
-		IntervalSeconds:   0.010,
-	}
-}
+	promoteMaxPerPass int = 5
+)
 
 // THP drives huge-page backing for one address space.
 type THP struct {
-	Cfg   Config
 	Space *vm.AddrSpace
 	Costs vm.OpCosts
+
+	// alloc backs anonymous-memory faults with 2 MB pages; promote lets
+	// the promotion daemon consolidate 4 KB pages.
+	alloc, promote bool
+	// The promotion calibration, filled from the constants above; fields
+	// so that in-package tests can lower them.
+	minSubs, maxPerPass int
 
 	// scan cursor so passes resume where they left off, like khugepaged.
 	cursorRegion int
@@ -64,9 +56,10 @@ type THP struct {
 }
 
 // New attaches a THP subsystem to an address space and installs its
-// allocation-size hook.
-func New(space *vm.AddrSpace, cfg Config, costs vm.OpCosts) *THP {
-	t := &THP{Cfg: cfg, Space: space, Costs: costs}
+// allocation-size hook. start2M sets both switches: 2 MB allocation and
+// promotion start on together or off together.
+func New(space *vm.AddrSpace, start2M bool, costs vm.OpCosts) *THP {
+	t := &THP{Space: space, Costs: costs, alloc: start2M, promote: start2M, minSubs: promoteMinSubs, maxPerPass: promoteMaxPerPass}
 	space.AllocSize = t.allocSize
 	return t
 }
@@ -74,23 +67,23 @@ func New(space *vm.AddrSpace, cfg Config, costs vm.OpCosts) *THP {
 // allocSize is the fault-path hook: 2 MB for THP-eligible regions while
 // allocation is enabled, 4 KB otherwise.
 func (t *THP) allocSize(r *vm.Region, _ int) mem.PageSize {
-	if t.Cfg.AllocEnabled && r.THPEligible {
+	if t.alloc && r.THPEligible {
 		return mem.Size2M
 	}
 	return mem.Size4K
 }
 
 // SetAllocEnabled toggles 2 MB page allocation (Algorithm 1 lines 5, 8, 17).
-func (t *THP) SetAllocEnabled(on bool) { t.Cfg.AllocEnabled = on }
+func (t *THP) SetAllocEnabled(on bool) { t.alloc = on }
 
 // SetPromoteEnabled toggles 2 MB page promotion (Algorithm 1 line 6).
-func (t *THP) SetPromoteEnabled(on bool) { t.Cfg.PromoteEnabled = on }
+func (t *THP) SetPromoteEnabled(on bool) { t.promote = on }
 
 // AllocEnabled reports whether 2 MB allocation is currently on.
-func (t *THP) AllocEnabled() bool { return t.Cfg.AllocEnabled }
+func (t *THP) AllocEnabled() bool { return t.alloc }
 
 // PromoteEnabled reports whether 2 MB promotion is currently on.
-func (t *THP) PromoteEnabled() bool { return t.Cfg.PromoteEnabled }
+func (t *THP) PromoteEnabled() bool { return t.promote }
 
 // Promoted returns the number of chunks promoted so far.
 func (t *THP) Promoted() uint64 { return t.promoted }
@@ -117,18 +110,18 @@ func (t *THP) mappingFingerprint() uint64 {
 // identical to running it: both cost zero cycles and mutate nothing
 // the scan logic can observe.
 func (t *THP) PendingWork() bool {
-	if !t.Cfg.PromoteEnabled || !t.Cfg.AllocEnabled {
+	if !t.promote || !t.alloc {
 		return false
 	}
 	return !t.haveClean || t.cleanFP != t.mappingFingerprint()
 }
 
 // RunPromotionPass performs one khugepaged scan: it promotes up to
-// PromoteMaxPerPass sufficiently-mapped 4 KB chunks of THP-eligible
+// promoteMaxPerPass sufficiently-mapped 4 KB chunks of THP-eligible
 // regions into 2 MB pages on their dominant node, returning the overhead
 // cycles consumed.
 func (t *THP) RunPromotionPass() float64 {
-	if !t.Cfg.PromoteEnabled || !t.Cfg.AllocEnabled {
+	if !t.promote || !t.alloc {
 		return 0
 	}
 	regions := t.Space.Regions()
@@ -144,7 +137,7 @@ func (t *THP) RunPromotionPass() float64 {
 	for _, r := range regions {
 		totalChunks += r.NumChunks()
 	}
-	for promoted < t.Cfg.PromoteMaxPerPass && visited < totalChunks {
+	for promoted < t.maxPerPass && visited < totalChunks {
 		if t.cursorRegion >= len(regions) {
 			t.cursorRegion = 0
 		}
@@ -161,7 +154,7 @@ func (t *THP) RunPromotionPass() float64 {
 			continue
 		}
 		info := r.ChunkInfo(ci)
-		if info.State != vm.Mapped4K || info.MappedSubs < t.Cfg.PromoteMinSubs {
+		if info.State != vm.Mapped4K || info.MappedSubs < t.minSubs {
 			continue
 		}
 		// From here on the chunk is a promotion candidate: whether it
@@ -173,7 +166,7 @@ func (t *THP) RunPromotionPass() float64 {
 		if !ok {
 			continue
 		}
-		cyc, ok := r.PromoteChunk(ci, node, t.Cfg.PromoteMinSubs, t.Costs)
+		cyc, ok := r.PromoteChunk(ci, node, t.minSubs, t.Costs)
 		if ok {
 			cycles += cyc
 			promoted++

@@ -8,16 +8,16 @@ import (
 	"repro/internal/vm"
 )
 
-func setup(cfg Config) (*vm.AddrSpace, *THP) {
+func setup() (*vm.AddrSpace, *THP) {
 	m := topo.MachineA()
 	phys := mem.NewSystem(m, mem.DefaultLatencyParams())
 	space := vm.NewAddrSpace(m, phys, vm.DefaultFaultParams())
-	t := New(space, cfg, vm.DefaultOpCosts())
+	t := New(space, true, vm.DefaultOpCosts())
 	return space, t
 }
 
 func TestAllocSizeFollowsSwitch(t *testing.T) {
-	space, thp := setup(DefaultConfig())
+	space, thp := setup()
 	r := space.Mmap("heap", 8<<20, true)
 	if res := r.Access(0, 0, 0); res.PageSize != mem.Size2M {
 		t.Fatalf("THP-on fault used %v", res.PageSize)
@@ -29,7 +29,7 @@ func TestAllocSizeFollowsSwitch(t *testing.T) {
 }
 
 func TestIneligibleRegionNeverHuge(t *testing.T) {
-	space, _ := setup(DefaultConfig())
+	space, _ := setup()
 	r := space.Mmap("file", 4<<20, false)
 	if res := r.Access(0, 0, 0); res.PageSize != mem.Size4K {
 		t.Fatalf("file-backed fault used %v", res.PageSize)
@@ -37,9 +37,8 @@ func TestIneligibleRegionNeverHuge(t *testing.T) {
 }
 
 func TestPromotionPass(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.AllocEnabled = false // fault in 4K pages first
-	space, thp := setup(cfg)
+	space, thp := setup()
+	thp.SetAllocEnabled(false) // fault in 4K pages first
 	r := space.Mmap("heap", 4<<20, true)
 	for i := 0; i < vm.SubsPerChunk; i++ {
 		r.Access(0, 0, uint64(i)*uint64(mem.Size4K))
@@ -59,9 +58,8 @@ func TestPromotionPass(t *testing.T) {
 }
 
 func TestPromotionRespectsMinSubs(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.AllocEnabled = false
-	space, thp := setup(cfg)
+	space, thp := setup()
+	thp.SetAllocEnabled(false)
 	r := space.Mmap("heap", 4<<20, true)
 	for i := 0; i < 100; i++ { // below the 448 threshold
 		r.Access(0, 0, uint64(i)*uint64(mem.Size4K))
@@ -74,9 +72,8 @@ func TestPromotionRespectsMinSubs(t *testing.T) {
 }
 
 func TestPromotionDisabled(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.AllocEnabled = false
-	space, thp := setup(cfg)
+	space, thp := setup()
+	thp.SetAllocEnabled(false)
 	r := space.Mmap("heap", 4<<20, true)
 	for i := 0; i < vm.SubsPerChunk; i++ {
 		r.Access(0, 0, uint64(i)*uint64(mem.Size4K))
@@ -92,10 +89,9 @@ func TestPromotionDisabled(t *testing.T) {
 }
 
 func TestPromotionQuantum(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.AllocEnabled = false
-	cfg.PromoteMaxPerPass = 2
-	space, thp := setup(cfg)
+	space, thp := setup()
+	thp.SetAllocEnabled(false)
+	thp.maxPerPass = 2
 	r := space.Mmap("heap", 16<<20, true) // 8 chunks
 	for c := 0; c < 8; c++ {
 		for i := 0; i < vm.SubsPerChunk; i++ {
@@ -117,10 +113,9 @@ func TestPromotionQuantum(t *testing.T) {
 }
 
 func TestPromotionTargetsDominantNode(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.AllocEnabled = false
-	cfg.PromoteMinSubs = 256
-	space, thp := setup(cfg)
+	space, thp := setup()
+	thp.SetAllocEnabled(false)
+	thp.minSubs = 256
 	r := space.Mmap("heap", 4<<20, true)
 	// 300 subs faulted from node 2 (core 12), 100 from node 0.
 	for i := 0; i < 300; i++ {

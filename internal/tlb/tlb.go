@@ -6,7 +6,9 @@
 // misses, the expected cycle cost of a walk, and the expected number of L2
 // cache misses each walk causes. The latter feeds the
 // "% of L2 misses due to page-table walks" counter that Carrefour-LP's
-// conservative component monitors (Algorithm 1, line 4).
+// conservative component monitors (Algorithm 1, line 4). The TLB
+// geometry and walk costs are package constants approximating the
+// paper's AMD Opteron machines.
 package tlb
 
 import (
@@ -16,51 +18,35 @@ import (
 	"repro/internal/stats"
 )
 
-// Config sizes the TLB hierarchy and walk costs. The defaults approximate
-// the AMD Opteron family used in the paper.
-type Config struct {
-	// L1Entries is the fully-associative first-level TLB shared by all
+// The TLB hierarchy and walk costs, approximating the AMD Opteron
+// family used in the paper.
+const (
+	// l1Entries is the fully-associative first-level TLB shared by all
 	// page sizes.
-	L1Entries int
-	// L2Entries4K, L2Entries2M and L2Entries1G are the second-level TLB
+	l1Entries int = 48
+	// l2Entries4K, l2Entries2M and l2Entries1G are the second-level TLB
 	// capacities per page-size class.
-	L2Entries4K int
-	L2Entries2M int
-	L2Entries1G int
+	l2Entries4K int = 1024
+	l2Entries2M int = 128
+	l2Entries1G int = 16
 
 	// L2HitCycles is the penalty for an access served by the L2 TLB.
-	L2HitCycles float64
-	// UpperLevelCycles is the per-level cost of walking the (almost
+	L2HitCycles float64 = 7
+	// upperLevelCycles is the per-level cost of walking the (almost
 	// always cached) upper page-table levels.
-	UpperLevelCycles float64
-	// LeafHitCycles is the cost of a leaf PTE fetch served by the paging
+	upperLevelCycles float64 = 6
+	// leafHitCycles is the cost of a leaf PTE fetch served by the paging
 	// caches / L2 cache.
-	LeafHitCycles float64
-	// LeafMissCycles is the cost of a leaf PTE fetch from DRAM.
-	LeafMissCycles float64
-	// PTCacheBytes is the effective cache capacity available to leaf page
+	leafHitCycles float64 = 15
+	// leafMissCycles is the cost of a leaf PTE fetch from DRAM.
+	leafMissCycles float64 = 150
+	// ptCacheBytes is the effective cache capacity available to leaf page
 	// table entries (paging-structure caches plus the L2 share they win).
-	PTCacheBytes uint64
-	// UpperMissProb is the small probability that an upper-level entry
+	ptCacheBytes uint64 = 256 << 10
+	// upperMissProb is the small probability that an upper-level entry
 	// misses the paging caches.
-	UpperMissProb float64
-}
-
-// DefaultConfig returns the Opteron-era calibration.
-func DefaultConfig() Config {
-	return Config{
-		L1Entries:        48,
-		L2Entries4K:      1024,
-		L2Entries2M:      128,
-		L2Entries1G:      16,
-		L2HitCycles:      7,
-		UpperLevelCycles: 6,
-		LeafHitCycles:    15,
-		LeafMissCycles:   150,
-		PTCacheBytes:     256 << 10,
-		UpperMissProb:    0.02,
-	}
-}
+	upperMissProb float64 = 0.02
+)
 
 // WalkLevels returns the number of page-table levels walked on a miss for
 // the given page size: 4 KB pages use the full 4-level x86-64 walk, 2 MB
@@ -111,8 +97,8 @@ type Assessment struct {
 
 // CostPerAccess returns the expected translation cycles added to an
 // average access.
-func (a Assessment) CostPerAccess(cfg Config) float64 {
-	return a.L2Hit*cfg.L2HitCycles + a.Miss*a.WalkCycles
+func (a Assessment) CostPerAccess() float64 {
+	return a.L2Hit*L2HitCycles + a.Miss*a.WalkCycles
 }
 
 // RemoteWalkCycles prices the NUMA surcharge of one walk whose leaf page
@@ -132,19 +118,17 @@ func (a Assessment) RemoteWalkCycles(fabricCycles float64) float64 {
 // pricing is enabled.
 func (a Assessment) WalkDRAMFetches() float64 { return a.WalkL2Misses }
 
-// Model evaluates assessments under a fixed configuration. Assess runs
-// once per simulated epoch on reusable scratch, so a Model must not be
-// shared between concurrently running engines.
+// Model evaluates assessments. Assess runs once per simulated epoch on
+// reusable scratch, so a Model must not be shared between concurrently
+// running engines.
 type Model struct {
-	Cfg Config
-
 	// Assess scratch, reused across epochs.
 	work, remaining []Segment
 	cover           []float64
 }
 
-// NewModel returns a model with the given configuration.
-func NewModel(cfg Config) *Model { return &Model{Cfg: cfg} }
+// NewModel returns a model.
+func NewModel() *Model { return &Model{} }
 
 // Assess computes the expected TLB behaviour of a thread whose accesses
 // are distributed over segs. The model fills the L1 TLB with the hottest
@@ -168,9 +152,9 @@ func (m *Model) Assess(segs []Segment) Assessment {
 			seqL1 += s.Weight * (1 - missFrac)
 			levels := float64(WalkLevels(s.Size))
 			// Streamed leaf PTEs are adjacent: walks hit the caches.
-			cyc := (levels-1)*m.Cfg.UpperLevelCycles + m.Cfg.LeafHitCycles
+			cyc := (levels-1)*upperLevelCycles + leafHitCycles
 			seqWalkCycles += s.Weight * missFrac * cyc
-			seqWalkL2 += s.Weight * missFrac * (levels - 1) * m.Cfg.UpperMissProb
+			seqWalkL2 += s.Weight * missFrac * (levels - 1) * upperMissProb
 			ptFootSeq += uint64(s.Pages * 8)
 			continue
 		}
@@ -194,7 +178,7 @@ func (m *Model) Assess(segs []Segment) Assessment {
 	})
 
 	// Fill L1 with the hottest pages regardless of size.
-	l1 := float64(m.Cfg.L1Entries)
+	l1 := float64(l1Entries)
 	var l1Hit float64
 	if cap(m.remaining) < len(work) {
 		m.remaining = make([]Segment, len(work))
@@ -217,9 +201,9 @@ func (m *Model) Assess(segs []Segment) Assessment {
 	}
 
 	// Fill each L2 class with the hottest remaining pages of its size.
-	budget4K := float64(m.Cfg.L2Entries4K)
-	budget2M := float64(m.Cfg.L2Entries2M)
-	budget1G := float64(m.Cfg.L2Entries1G)
+	budget4K := float64(l2Entries4K)
+	budget2M := float64(l2Entries2M)
+	budget1G := float64(l2Entries1G)
 	var l2Hit float64
 	for i := range remaining {
 		s := &remaining[i]
@@ -255,7 +239,7 @@ func (m *Model) Assess(segs []Segment) Assessment {
 	// Fill greedily in the same hottest-first order as the TLB, so walks
 	// for warm pages (in the PT cache but past TLB reach) stay cheap
 	// while walks for genuinely cold pages go to DRAM.
-	pteBudget := float64(m.Cfg.PTCacheBytes) / 8
+	pteBudget := float64(ptCacheBytes) / 8
 	if cap(m.cover) < len(work) {
 		m.cover = make([]float64, len(work))
 	}
@@ -290,10 +274,10 @@ func (m *Model) Assess(segs []Segment) Assessment {
 		}
 		levels := float64(WalkLevels(s.Size))
 		pwcHit := cover[i]
-		upper := (levels - 1) * (m.Cfg.UpperLevelCycles + m.Cfg.UpperMissProb*m.Cfg.LeafMissCycles)
-		leaf := pwcHit*m.Cfg.LeafHitCycles + (1-pwcHit)*m.Cfg.LeafMissCycles
+		upper := (levels - 1) * (upperLevelCycles + upperMissProb*leafMissCycles)
+		leaf := pwcHit*leafHitCycles + (1-pwcHit)*leafMissCycles
 		walkCycles += s.Weight * (upper + leaf)
-		walkL2Misses += s.Weight * ((1 - pwcHit) + (levels-1)*m.Cfg.UpperMissProb)
+		walkL2Misses += s.Weight * ((1 - pwcHit) + (levels-1)*upperMissProb)
 		missWeight += s.Weight
 	}
 

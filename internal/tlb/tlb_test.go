@@ -8,7 +8,7 @@ import (
 	"repro/internal/mem"
 )
 
-func model() *Model { return NewModel(DefaultConfig()) }
+func model() *Model { return NewModel() }
 
 func TestWalkLevels(t *testing.T) {
 	if WalkLevels(mem.Size4K) != 4 || WalkLevels(mem.Size2M) != 3 || WalkLevels(mem.Size1G) != 2 {
@@ -131,10 +131,9 @@ func TestHotSegmentPrioritized(t *testing.T) {
 }
 
 func TestCostPerAccess(t *testing.T) {
-	cfg := DefaultConfig()
 	a := Assessment{L2Hit: 0.5, Miss: 0.1, WalkCycles: 100}
-	want := 0.5*cfg.L2HitCycles + 0.1*100
-	if got := a.CostPerAccess(cfg); math.Abs(got-want) > 1e-9 {
+	want := 0.5*L2HitCycles + 0.1*100
+	if got := a.CostPerAccess(); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("CostPerAccess = %v, want %v", got, want)
 	}
 }

@@ -384,9 +384,12 @@ func (s Spec) validateEvents() error {
 	return nil
 }
 
-// MLPInvalid reports nonsensical region parameters.
+// MLPInvalid reports nonsensical region parameters, including a
+// locality, sharing or init pattern outside its enumeration.
 func (r RegionSpec) MLPInvalid() bool {
-	return r.HotFrac < 0 || r.HotFrac > 1 || r.HotAccessFrac < 0 || r.HotAccessFrac > 1 || r.HaloFrac < 0 || r.HaloFrac > 1 ||
+	return r.Loc < cache.Stream || r.Loc > cache.Resident || r.Sharing < PrivateBlocked || r.Sharing > SharedAll ||
+		r.Init < InitOwner || r.Init > InitMaster ||
+		r.HotFrac < 0 || r.HotFrac > 1 || r.HotAccessFrac < 0 || r.HotAccessFrac > 1 || r.HaloFrac < 0 || r.HaloFrac > 1 ||
 		r.DRAMFloor < 0 || r.DRAMFloor > 1 || r.ChurnPer1K < 0 ||
 		r.ChurnTHPFrac < 0 || r.ChurnTHPFrac > 1 ||
 		r.DRAMCap < 0 || r.DRAMCap > 1 ||
