@@ -11,9 +11,10 @@
 // which is exactly why it cannot fix the hot-page effect or page-level
 // false sharing without the large-page extensions of package core.
 //
-// The daemon's thresholds are package constants (DESIGN.md §4.4), and
-// PassCost is the per-pass overhead that every sample-driven daemon
-// charges.
+// The policy pipeline runs one decision interval a second through
+// TickWith, on the telemetry view it shares with the other daemons. The
+// thresholds are package constants (DESIGN.md §4.4), and PassCost is the
+// per-pass overhead that every sample-driven daemon charges.
 package carrefour
 
 import (
@@ -29,8 +30,6 @@ import (
 
 // The daemon's calibration, as used throughout the evaluation.
 const (
-	// intervalSeconds is the decision period (1 s in the paper).
-	intervalSeconds float64 = 1
 	// minSamplesPerPage is the minimum evidence before acting on a page.
 	minSamplesPerPage int = 2
 	// memIntensityMin gates the whole daemon: below this DRAM-accesses-
@@ -64,9 +63,6 @@ type pageKey struct {
 
 // Carrefour is the daemon state.
 type Carrefour struct {
-	lastTick float64
-	tel      sim.Telemetry
-
 	interleaved map[pageKey]bool
 	scratch     GroupScratch
 
@@ -77,7 +73,7 @@ type Carrefour struct {
 
 // New builds a daemon.
 func New() *Carrefour {
-	return &Carrefour{interleaved: make(map[pageKey]bool), lastTick: -1e18}
+	return &Carrefour{interleaved: make(map[pageKey]bool)}
 }
 
 // Stats reports cumulative operation counts.
@@ -85,19 +81,8 @@ func (c *Carrefour) Stats() (migrations, interleaves, activations uint64) {
 	return c.migrations, c.interleaves, c.activations
 }
 
-// MaybeTick runs one decision interval if due and returns overhead
-// cycles; standalone use gathers its own telemetry (pipelines gate the
-// period themselves and hand a shared view to TickWith).
-func (c *Carrefour) MaybeTick(env *sim.Env, now float64) float64 {
-	if now-c.lastTick < intervalSeconds {
-		return 0
-	}
-	c.lastTick = now
-	return c.TickWith(env, c.tel.Gather(env))
-}
-
-// TickWith runs one decision interval on an externally gathered
-// telemetry view.
+// TickWith runs one decision interval on a telemetry view the caller
+// gathered; the policy pipeline gates the period.
 func (c *Carrefour) TickWith(env *sim.Env, v sim.View) float64 {
 	w := v.Window
 	overhead := PassCost(len(v.Samples))
@@ -261,16 +246,10 @@ const (
 	recLocal  = 1 << 7
 )
 
-// GroupSamples buckets DRAM-serviced samples by page, in a deterministic
-// order (region, chunk, sub). Only DRAM samples are considered, so that
+// Group buckets DRAM-serviced samples by page, in a deterministic order
+// (region, chunk, sub). Only DRAM samples are considered, so that
 // decisions "are not affected by pages that are easily cached" (§3.2.1).
-func GroupSamples(samples []ibs.Sample, nodes int) []PageGroup {
-	var gs GroupScratch
-	return gs.Group(samples, nodes)
-}
-
-// Group is GroupSamples on reusable scratch; no steady-state allocation
-// once the scratch is warm.
+// It does no steady-state allocation once the scratch is warm.
 //
 // It is a counting sort bucketed by chunk: DRAM samples are counted
 // into a dense per-region table indexed by chunk, the counts become

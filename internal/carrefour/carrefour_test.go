@@ -67,7 +67,8 @@ func TestGroupSamplesAggregates(t *testing.T) {
 		sample(r, 1, 3, 2, true),
 		sample(r, 2, 0, 0, false), // cached: must be ignored
 	}
-	groups := GroupSamples(samples, 4)
+	var gs GroupScratch
+	groups := gs.Group(samples, 4)
 	if len(groups) != 2 {
 		t.Fatalf("groups = %d, want 2 (cached sample dropped)", len(groups))
 	}
@@ -88,7 +89,8 @@ func TestGroupSamplesDeterministicOrder(t *testing.T) {
 	_, r := testEnv(t)
 	a := []ibs.Sample{sample(r, 5, 0, 0, true), sample(r, 1, 0, 0, true), sample(r, 3, 0, 0, true)}
 	b := []ibs.Sample{sample(r, 3, 0, 0, true), sample(r, 5, 0, 0, true), sample(r, 1, 0, 0, true)}
-	ga, gb := GroupSamples(a, 4), GroupSamples(b, 4)
+	var sa, sb GroupScratch
+	ga, gb := sa.Group(a, 4), sb.Group(b, 4)
 	for i := range ga {
 		if ga[i].Page.Chunk != gb[i].Page.Chunk {
 			t.Fatal("group order depends on sample order")
@@ -151,20 +153,6 @@ func TestApplyRespectsMinSamples(t *testing.T) {
 	c.Apply(env, []ibs.Sample{sample(r, 2, 0, 3, true)}) // single sample
 	if r.ChunkInfo(2).Node != before {
 		t.Fatal("acted on a single-sample page")
-	}
-}
-
-func TestMaybeTickInterval(t *testing.T) {
-	env, _ := testEnv(t)
-	c := New()
-	if oh := c.MaybeTick(env, 0.5); oh <= 0 {
-		t.Fatal("first tick should run and cost cycles")
-	}
-	if oh := c.MaybeTick(env, 1.0); oh != 0 {
-		t.Fatal("tick before the interval elapsed should be skipped")
-	}
-	if oh := c.MaybeTick(env, 1.6); oh <= 0 {
-		t.Fatal("tick after the interval should run")
 	}
 }
 

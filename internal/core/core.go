@@ -1,7 +1,8 @@
 // Package core implements Carrefour-LP, the paper's contribution: large-
 // page extensions to the Carrefour NUMA page-placement algorithm
-// (Algorithm 1 in §3.2). Every second it gathers hardware counters and IBS
-// samples, then runs two cooperating components:
+// (Algorithm 1 in §3.2). Each interval (the policy pipeline runs one every
+// second) it reads hardware counters and IBS samples from a shared
+// telemetry view, then runs two cooperating components:
 //
 // Conservative (lines 4-9): re-enables 2 MB allocation and promotion when
 // TLB pressure (the fraction of L2 misses caused by page-table walks) or
@@ -37,8 +38,6 @@ import (
 
 // Algorithm 1's calibration (DESIGN.md §4.4 tabulates it).
 const (
-	// intervalSeconds is the monitoring period (line 3: 1 s).
-	intervalSeconds float64 = 1
 	// tlbSharePct enables 2 MB allocation+promotion when the fraction of
 	// L2 misses from page-table walks exceeds it (line 4: 5%).
 	tlbSharePct float64 = 5
@@ -68,8 +67,6 @@ type LP struct {
 
 	thp *thp.THP
 
-	lastTick   float64
-	tel        sim.Telemetry
 	splitPages bool
 
 	// tlbShare is line 4's threshold, filled from tlbSharePct; a field
@@ -97,7 +94,7 @@ type LP struct {
 
 // New builds a Carrefour-LP daemon with both components enabled.
 func New(car *carrefour.Carrefour) *LP {
-	return &LP{Car: car, Conservative: true, Reactive: true, lastTick: -1e18, tlbShare: tlbSharePct, sharedSplit: true}
+	return &LP{Car: car, Conservative: true, Reactive: true, tlbShare: tlbSharePct, sharedSplit: true}
 }
 
 // Bind attaches the THP subsystem whose switches Algorithm 1 toggles.
@@ -115,20 +112,9 @@ func (lp *LP) LastEstimates() (cur, carrefourOnly, split float64) {
 	return lp.lastEstCur, lp.lastEstCar, lp.lastEstSpl
 }
 
-// MaybeTick runs one Algorithm 1 interval if due, returning overhead
-// cycles; standalone use gathers its own telemetry (line 3: hardware
-// performance counters and IBS samples). Pipelines gate the period
-// themselves and hand a shared view to TickWith.
-func (lp *LP) MaybeTick(env *sim.Env, now float64) float64 {
-	if now-lp.lastTick < intervalSeconds {
-		return 0
-	}
-	lp.lastTick = now
-	return lp.TickWith(env, lp.tel.Gather(env))
-}
-
-// TickWith runs one Algorithm 1 interval on an externally gathered
-// telemetry view.
+// TickWith runs one Algorithm 1 interval on a telemetry view the caller
+// gathered (line 3: hardware performance counters and IBS samples); the
+// policy pipeline gates the period.
 func (lp *LP) TickWith(env *sim.Env, v sim.View) float64 {
 	w, samples := v.Window, v.Samples
 	overhead := carrefour.PassCost(len(samples))

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/cache"
@@ -20,6 +21,7 @@ type harness struct {
 	r   *vm.Region
 	lp  *LP
 	thp *thp.THP
+	tel sim.Telemetry
 }
 
 type testPolicy struct{ h *harness }
@@ -74,6 +76,12 @@ func (h *harness) feed(samples []ibs.Sample) {
 	}
 }
 
+// tick runs one LP interval on the telemetry gathered since the last
+// one and returns its overhead cycles.
+func (h *harness) tick() float64 {
+	return h.lp.TickWith(h.env, h.tel.Gather(h.env))
+}
+
 func TestHotPageSplitAndInterleave(t *testing.T) {
 	h := newHarness(t)
 	// Chunk 0 receives ~67% of sampled accesses, all to the same 4 KB
@@ -91,7 +99,7 @@ func TestHotPageSplitAndInterleave(t *testing.T) {
 		samples = append(samples, s2m(h.r, ci, i%24, topo.NodeID(1+ci%3), uint64(i)*4096))
 	}
 	h.feed(samples)
-	h.lp.MaybeTick(h.env, 1.0)
+	h.tick()
 	if info := h.r.ChunkInfo(0); info.State != vm.Mapped4K {
 		t.Fatalf("hot chunk not split: %v", info.State)
 	}
@@ -130,7 +138,7 @@ func TestSharedSplitWhenPlacementCannotHelp(t *testing.T) {
 		)
 	}
 	h.feed(samples)
-	h.lp.MaybeTick(h.env, 1.0)
+	h.tick()
 	cur, car, split := h.lp.LastEstimates()
 	if car-cur > carrefourGainPct {
 		t.Fatalf("carrefour-only estimate should not promise enough: cur %v car %v", cur, car)
@@ -155,7 +163,7 @@ func TestConservativeReenablesOnTLBPressure(t *testing.T) {
 	// window's PTW share (which is never negative), so the conservative
 	// decision fires on the next interval.
 	h.lp.tlbShare = -1 // any pressure re-enables
-	h.lp.MaybeTick(h.env, 5.0)
+	h.tick()
 	if !h.thp.AllocEnabled() || !h.thp.PromoteEnabled() {
 		t.Fatal("conservative component did not re-enable large pages")
 	}
@@ -173,19 +181,9 @@ func TestReactiveDisabledComponentDoesNothing(t *testing.T) {
 		samples = append(samples, s2m(h.r, 0, i%24, topo.NodeID(i%4), uint64(i)*4096))
 	}
 	h.feed(samples)
-	h.lp.MaybeTick(h.env, 1.0)
+	h.tick()
 	if info := h.r.ChunkInfo(0); info.State != vm.Mapped2M {
 		t.Fatal("reactive-off configuration split a page")
-	}
-}
-
-func TestIntervalRespected(t *testing.T) {
-	h := newHarness(t)
-	if oh := h.lp.MaybeTick(h.env, 1.0); oh <= 0 {
-		t.Fatal("due tick skipped")
-	}
-	if oh := h.lp.MaybeTick(h.env, 1.5); oh != 0 {
-		t.Fatal("early tick ran")
 	}
 }
 
@@ -200,7 +198,7 @@ func TestEstimateMisestimationUnderSparseSamples(t *testing.T) {
 		samples = append(samples, s2m(h.r, 3, i%24, topo.NodeID(i%4), uint64(i)*4096))
 	}
 	h.feed(samples)
-	h.lp.MaybeTick(h.env, 1.0)
+	h.tick()
 	_, car, split := h.lp.LastEstimates()
 	if split <= car+20 {
 		t.Fatalf("split estimate (%v) should greatly exceed the placement estimate (%v)", split, car)
@@ -208,11 +206,14 @@ func TestEstimateMisestimationUnderSparseSamples(t *testing.T) {
 }
 
 // lpVariant runs Carrefour-LP on THP with line 16's split-all-shared-
-// pages rule switched on or off.
+// pages rule switched on or off, one LP interval a second after
+// khugepaged, as the CarrefourLP pipeline does.
 type lpVariant struct {
 	sharedSplit bool
 	thp         *thp.THP
 	lp          *LP
+	tel         sim.Telemetry
+	last        float64 // time of the last LP interval
 }
 
 func (v *lpVariant) Name() string { return "LP-variant" }
@@ -222,9 +223,15 @@ func (v *lpVariant) Setup(env *sim.Env) {
 	v.lp = New(carrefour.New())
 	v.lp.sharedSplit = v.sharedSplit
 	v.lp.Bind(v.thp)
+	v.last = math.Inf(-1)
 }
 func (v *lpVariant) Tick(env *sim.Env, now float64) float64 {
-	return v.thp.RunPromotionPass() + v.lp.MaybeTick(env, now)
+	overhead := v.thp.RunPromotionPass()
+	if now-v.last >= 1 {
+		v.last = now
+		overhead += v.lp.TickWith(env, v.tel.Gather(env))
+	}
+	return overhead
 }
 
 // BenchmarkAblationSplitGranularity compares the paper's

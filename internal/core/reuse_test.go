@@ -44,7 +44,8 @@ func checkReuse(t *testing.T, env *sim.Env, samples []ibs.Sample, sampled, split
 		return "fresh"
 	}
 	var buf []ibs.Sample
-	want := carrefour.GroupSamples(rebindInto(&buf, samples), env.Machine.Nodes)
+	var gs carrefour.GroupScratch
+	want := gs.Group(rebindInto(&buf, samples), env.Machine.Nodes)
 	if !sameGrouping(got, want) {
 		t.Fatal("reused grouping differs from a fresh grouping of the rebound samples")
 	}

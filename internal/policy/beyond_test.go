@@ -1,7 +1,6 @@
 package policy
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/cache"
@@ -10,11 +9,11 @@ import (
 	"repro/internal/workloads"
 )
 
-// equivSpec exercises every daemon decision path: a hot shared region
-// (hot-page splits, placement), a private region (locality), and a
-// churny shared region (fault pressure for the conservative component),
-// run long enough for several 1 s daemon intervals.
-func equivSpec() workloads.Spec {
+// beyondSpec is the golden file's "equiv" workload (golden_test.go at
+// the module root): a hot shared region, a private region and a churny
+// shared region spread over every node, run for several 1 s daemon
+// intervals.
+func beyondSpec() workloads.Spec {
 	return workloads.Spec{
 		Name: "equiv",
 		Regions: []workloads.RegionSpec{
@@ -34,42 +33,6 @@ func equivSpec() workloads.Spec {
 	}
 }
 
-// TestPipelineMatchesLegacyByteIdentical is the refactor's
-// behavior-preservation contract: for each of the paper's seven
-// configurations, the composable pipeline must produce a sim.Result
-// byte-identical to the frozen monolithic implementation in
-// legacy_ref_test.go — the same invariant style as the worker-count
-// determinism test. (The full-scale EXPERIMENTS.md regeneration is the
-// end-to-end version of this check.)
-func TestPipelineMatchesLegacyByteIdentical(t *testing.T) {
-	for _, name := range PaperNames() {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			run := func(pol sim.OS) sim.Result {
-				cfg := sim.DefaultConfig()
-				eng, err := sim.New(topo.MachineA(), equivSpec(), pol, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return eng.Run()
-			}
-			legacy, err := legacyByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pipeline, err := ByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := run(legacy)
-			got := run(pipeline)
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("pipeline result differs from legacy:\nlegacy:   %+v\npipeline: %+v", want, got)
-			}
-		})
-	}
-}
-
 // TestBeyondPoliciesDiffer guards against the inverse failure: the
 // page-table-aware pipelines must NOT be result-identical to plain THP
 // (if they were, the new pricing would be dead code).
@@ -80,7 +43,7 @@ func TestBeyondPoliciesDiffer(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := sim.DefaultConfig()
-		eng, err := sim.New(topo.MachineA(), equivSpec(), pol, cfg)
+		eng, err := sim.New(topo.MachineA(), beyondSpec(), pol, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -251,8 +251,15 @@ func TestPolicyTickRunsDaemons(t *testing.T) {
 	for ci := 0; ci < 8; ci++ {
 		r.Access(topo.CoreID(ci), ci, uint64(ci)*uint64(mem.Size2M))
 	}
-	// First LP interval runs and reports overhead.
+	// The first LP interval runs and charges daemon cycles; the pipeline
+	// gates the next one to a full daemonIntervalSeconds later.
 	if oh := pol.Tick(env, 1.0); oh <= 0 {
 		t.Fatal("CarrefourLP tick should consume cycles")
+	}
+	if oh := pol.Tick(env, 1.5); oh != 0 {
+		t.Fatalf("tick 0.5 s after a pass charged %v cycles, want 0", oh)
+	}
+	if oh := pol.Tick(env, 2.1); oh <= 0 {
+		t.Fatal("tick 1.1 s after a pass should run the next interval")
 	}
 }

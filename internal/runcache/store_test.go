@@ -1,10 +1,12 @@
 package runcache
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -465,4 +467,100 @@ func TestCompletedKeysReportsSurvivors(t *testing.T) {
 	if keys[0].Workload != "w1" || keys[1].Workload != "w2" {
 		t.Fatalf("completed keys unsorted: %v", keys)
 	}
+}
+
+// FuzzStoreRecover writes arbitrary bytes as a log and opens it. Open
+// must not fail or panic; recovery must keep a prefix of the bytes (the
+// magic header alone when it resets a foreign file); reopening must
+// find the same cells and nothing more to truncate; and a Put after
+// recovery must survive a reopen. Each reopen follows a kill: the file
+// is closed without Close's fsync, which also keeps an execution fast
+// enough for the fuzzer to minimize what it finds.
+func FuzzStoreRecover(f *testing.F) {
+	seedPath := filepath.Join(f.TempDir(), "seed.log")
+	st, err := OpenStore(seedPath)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i := uint64(1); i <= 2; i++ {
+		if err := st.Put(KeyOf(req("A", "CG.D", "THP", i)), testResult(i)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		f.Fatal(err)
+	}
+	log, err := os.ReadFile(seedPath)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(log)
+	f.Add(log[:len(log)-7])
+	f.Add([]byte{})
+	f.Add([]byte("not a runcache log"))
+
+	path := filepath.Join(f.TempDir(), "cache.log") // one per fuzzing process
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		kill := func(st *Store) { st.f.Close() }
+		open := func() (*Store, []byte) {
+			t.Helper()
+			st, err := OpenStore(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kept, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return st, kept
+		}
+		st, kept := open()
+		rs := st.Recovered()
+		switch {
+		case rs.Reset:
+			if string(kept) != storeMagic || rs.Cells != 0 || rs.TruncatedBytes != int64(len(data)) {
+				t.Fatalf("reset kept %q, recovery %+v", kept, rs)
+			}
+		case len(data) == 0:
+			if string(kept) != storeMagic {
+				t.Fatalf("empty log initialised to %q", kept)
+			}
+		default:
+			if !bytes.HasPrefix(data, kept) || int64(len(data)-len(kept)) != rs.TruncatedBytes || rs.Cells != st.Len() {
+				t.Fatalf("kept %d of %d bytes, recovery %+v", len(kept), len(data), rs)
+			}
+		}
+		keys := st.Keys()
+		kill(st)
+
+		// Reopening is idempotent: same bytes, same cells, nothing torn.
+		st, again := open()
+		if rs := st.Recovered(); !bytes.Equal(again, kept) || rs.Reset || rs.TruncatedBytes != 0 || !slices.Equal(st.Keys(), keys) {
+			t.Fatalf("reopen changed the log: %d→%d bytes, recovery %+v", len(kept), len(again), rs)
+		}
+
+		// A cell put after recovery survives the next reopen.
+		k := KeyOf(req("B", "UA.B", "Linux4K", 99))
+		want, had := st.Get(k)
+		if !had {
+			want = testResult(99)
+		}
+		if err := st.Put(k, want); err != nil {
+			t.Fatal(err)
+		}
+		kill(st)
+		st, _ = open()
+		defer kill(st)
+		if got, ok := st.Get(k); !ok || got != want || st.Recovered().TruncatedBytes != 0 {
+			t.Fatalf("cell put after recovery lost on reopen: %v %+v, recovery %+v", ok, got, st.Recovered())
+		}
+		for _, old := range keys {
+			if _, ok := st.Get(old); !ok {
+				t.Fatalf("recovered cell %s lost after an append", old)
+			}
+		}
+	})
 }

@@ -28,10 +28,11 @@ func eventSpec(events []EventSpec) Spec {
 
 func TestEventValidation(t *testing.T) {
 	cases := []struct {
-		name   string
-		events []EventSpec
-		phases []PhaseSpec
-		errSub string // "" = must validate
+		name    string
+		regions []string // renames the static regions when set
+		events  []EventSpec
+		phases  []PhaseSpec
+		errSub  string // "" = must validate
 	}{
 		{name: "free ok", events: []EventSpec{
 			{AtWorkFrac: 0.5, FreeRegion: "a", Weights: []float64{0, 1}}}},
@@ -70,6 +71,10 @@ func TestEventValidation(t *testing.T) {
 			{AtWorkFrac: 0.3, FreeRegion: "a", Weights: []float64{0, 1}},
 			{AtWorkFrac: 0.6, Shift: &ShiftSpec{Region: "a"}, Weights: []float64{0, 1}},
 		}, errSub: "freed"},
+		{name: "duplicate static region", regions: []string{"a", "a"}, events: []EventSpec{
+			{AtWorkFrac: 0.5, FreeRegion: "a", Weights: []float64{0, 1}}}, errSub: "duplicate"},
+		{name: "empty static region name", regions: []string{"a", ""}, events: []EventSpec{
+			{AtWorkFrac: 0.5, Shift: &ShiftSpec{Region: ""}, Weights: []float64{0.6, 0.4}}}, errSub: "missing"},
 		{name: "events exclude phases",
 			events: []EventSpec{{AtWorkFrac: 0.5, FreeRegion: "a", Weights: []float64{0, 1}}},
 			phases: []PhaseSpec{{AtWorkFrac: 0.3, Weights: []float64{0.5, 0.5}}},
@@ -78,6 +83,9 @@ func TestEventValidation(t *testing.T) {
 	for _, c := range cases {
 		s := eventSpec(c.events)
 		s.Phases = c.phases
+		for i, name := range c.regions {
+			s.Regions[i].Name = name
+		}
 		err := s.Validate()
 		if c.errSub == "" {
 			if err != nil {

@@ -280,9 +280,9 @@ func (s Spec) Validate() error {
 
 // validateEvents walks the event timeline against a simulated region
 // table, catching the spec bugs that would otherwise surface as
-// mid-run mem.ErrOverFree or index panics: double frees, unknown
-// region names, non-monotone boundaries, and weight vectors that keep
-// freed regions alive.
+// mid-run mem.ErrOverFree or index panics: missing or duplicate region
+// names, double frees, unknown region names, non-monotone boundaries,
+// and weight vectors that keep freed regions alive.
 func (s Spec) validateEvents() error {
 	if len(s.Events) == 0 {
 		return nil
@@ -291,11 +291,10 @@ func (s Spec) validateEvents() error {
 		return fmt.Errorf("workloads: %s mixes Phases and Events; events carry their own weight vectors", s.Name)
 	}
 	// Simulated region table: names in order, with a freed marker.
-	names := make([]string, len(s.Regions))
+	// Events resolve a name to its first match, so every name must be
+	// present and unique.
+	names := make([]string, 0, len(s.Regions))
 	freed := make([]bool, len(s.Regions))
-	for i, r := range s.Regions {
-		names[i] = r.Name
-	}
 	find := func(name string) int {
 		for i, n := range names {
 			if n == name {
@@ -303,6 +302,12 @@ func (s Spec) validateEvents() error {
 			}
 		}
 		return -1
+	}
+	for i, r := range s.Regions {
+		if r.Name == "" || find(r.Name) >= 0 {
+			return fmt.Errorf("workloads: %s region %d name %q missing or duplicate", s.Name, i, r.Name)
+		}
+		names = append(names, r.Name)
 	}
 	prev := 0.0
 	for i, ev := range s.Events {
