@@ -16,6 +16,7 @@ package repro_test
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/carrefour"
 	"repro/internal/ibs"
@@ -215,6 +216,36 @@ func BenchmarkSteadyAccessGeneration(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		in.NextSteady(i%64, rng)
 	}
+}
+
+// BenchmarkArenaTeardown maps and unmaps an arena the size of WC.churn's
+// 60 GiB map-phase arena on a fresh machine B: every 4 KB page is first
+// touched from a core picked by a hash of its index, scattering the
+// frames over all eight nodes the way InitStriped does, and one Unmap
+// then returns them through mem.FreeRun's random-victim release. The
+// unmap-ns/op metric is the teardown alone.
+func BenchmarkArenaTeardown(b *testing.B) {
+	const arena = 60 << 30
+	m := topo.MachineB()
+	cores := uint64(m.TotalCores())
+	var unmapNs int64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		phys := mem.NewSystem(m, mem.LatencyParamsFor(m.Name))
+		space := vm.NewAddrSpace(m, phys, vm.DefaultFaultParams())
+		r := space.Mmap("arena", arena, false)
+		for p := uint64(0); p < arena/uint64(mem.Size4K); p++ {
+			h := p * 0x9E3779B97F4A7C15
+			core := (h ^ h>>31) % cores
+			r.Access(topo.CoreID(core), int(core), p*uint64(mem.Size4K))
+		}
+		start := time.Now()
+		if got := r.Unmap(0, arena); got != arena {
+			b.Fatalf("unmapped %d of %d bytes", got, uint64(arena))
+		}
+		unmapNs += time.Since(start).Nanoseconds()
+	}
+	b.ReportMetric(float64(unmapNs)/float64(b.N), "unmap-ns/op")
 }
 
 // BenchmarkGroupSamples groups one full-volume Carrefour-LP interval on

@@ -173,6 +173,34 @@ func TestConservativeReenablesOnTLBPressure(t *testing.T) {
 	}
 }
 
+func TestConservativeReenablesOnFaultPressure(t *testing.T) {
+	// Line 7: a window in which some core spent more than 5% of its time
+	// in the fault handler re-enables 2 MB allocation (but not
+	// promotion); 4.5% does nothing. 5.5% sits between the paper's 5% and
+	// any threshold a point higher, and both windows stay under line 4's
+	// TLB threshold so only the fault rule can fire.
+	for _, tc := range []struct {
+		share  float64
+		want   bool
+		wantRe uint64
+	}{{4.5, false, 0}, {5.5, true, 1}} {
+		h := newHarness(t)
+		h.lp.Reactive = false
+		h.thp.SetAllocEnabled(false)
+		h.thp.SetPromoteEnabled(false)
+		w := sim.WindowMetrics{PTWSharePct: tlbSharePct / 2, MaxFaultSharePct: tc.share}
+		h.lp.TickWith(h.env, sim.View{Window: w})
+		_, _, re := h.lp.Stats()
+		if h.thp.AllocEnabled() != tc.want || re != tc.wantRe {
+			t.Fatalf("fault share %v%%: allocation enabled %v after %d re-enables, want %v",
+				tc.share, h.thp.AllocEnabled(), re, tc.want)
+		}
+		if h.thp.PromoteEnabled() {
+			t.Fatalf("fault share %v%%: line 7 must not re-enable promotion", tc.share)
+		}
+	}
+}
+
 func TestReactiveDisabledComponentDoesNothing(t *testing.T) {
 	h := newHarness(t)
 	h.lp.Reactive = false

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/topo"
@@ -174,43 +175,72 @@ func TestBuddySplitInPlace(t *testing.T) {
 	checkInvariants(t, s)
 }
 
-// applyOps replays a fuzz-provided op stream against a System and a
-// shadow per-node byte ledger, checking conservation after every op.
-// Each op byte encodes: bits 0-1 node, bits 2-3 size class (3 = 1G),
-// bit 4 free-vs-alloc.
+// runLens maps an op's run selector (bits 5-7) to a frame count. The
+// counts straddle the paths of buddyNode.allocRun on tinyMachine's
+// 1024-frame nodes: single frames, partial and whole bitmap words, and
+// runs long enough to carve 2 MB and whole-node blocks.
+var runLens = [8]int{1, 2, 7, 63, 64, 200, 512, 1000}
+
+// applyOps replays a fuzz-provided op stream as a differential: the
+// run-granular calls (AllocateRun, FreeRun) on one System against the
+// same number of single Allocate/Free calls on a twin, with a shadow
+// per-node byte ledger checking conservation on the twin. Each op byte
+// encodes: bits 0-1 node, bits 2-3 size class (3 = 1G), bit 4
+// free-vs-alloc, bits 5-7 run length (runLens). After every op the two
+// Systems must hold the same buddy state (sameState).
 func applyOps(t *testing.T, ops []byte) {
 	t.Helper()
 	s := NewSystem(tinyMachine(), DefaultLatencyParams())
+	twin := NewSystem(tinyMachine(), DefaultLatencyParams())
 	sizes := []PageSize{Size4K, Size2M, Size1G, Size2M}
 	liveCount := make(map[[2]int]int)
 	dram := s.nodes[0].frames << frameShift
 	for opi, op := range ops {
 		n := topo.NodeID(op & 3)
 		z := sizes[(op>>2)&3]
+		k := runLens[op>>5]
 		key := [2]int{int(n), sizeClass(z)}
 		if op&16 != 0 {
-			err := s.Free(n, z)
-			if liveCount[key] == 0 {
-				if !errors.Is(err, ErrOverFree) {
-					t.Fatalf("op %d: over-free returned %v, want ErrOverFree", opi, err)
+			runErr := s.FreeRun(n, z, k)
+			var err error
+			freed := 0
+			for ; freed < k; freed++ {
+				if err = twin.Free(n, z); err != nil {
+					break
 				}
-			} else if err != nil {
-				t.Fatalf("op %d: live free failed: %v", opi, err)
-			} else {
-				liveCount[key]--
 			}
+			if (runErr == nil) != (err == nil) {
+				t.Fatalf("op %d: FreeRun(%d) returned %v, %d single frees stopped at %v", opi, k, runErr, freed, err)
+			}
+			if freed < k && liveCount[key] != freed {
+				t.Fatalf("op %d: free %d of %d stopped with %d live", opi, freed, k, liveCount[key])
+			}
+			if err != nil && !errors.Is(err, ErrOverFree) {
+				t.Fatalf("op %d: over-free returned %v, want ErrOverFree", opi, err)
+			}
+			liveCount[key] -= freed
 		} else {
-			err := s.Allocate(n, z)
+			got := s.AllocateRun(n, z, k)
+			var err error
+			done := 0
+			for ; done < k; done++ {
+				if err = twin.Allocate(n, z); err != nil {
+					break
+				}
+			}
+			if got != done {
+				t.Fatalf("op %d: AllocateRun(%d) reserved %d, single allocations %d", opi, k, got, done)
+			}
+			liveCount[key] += done
 			switch {
 			case err == nil:
-				liveCount[key]++
 			case errors.Is(err, ErrOutOfMemory):
-				if s.FreeBytes(n) >= uint64(z) {
-					t.Fatalf("op %d: ErrOutOfMemory with %d free", opi, s.FreeBytes(n))
+				if twin.FreeBytes(n) >= uint64(z) {
+					t.Fatalf("op %d: ErrOutOfMemory with %d free", opi, twin.FreeBytes(n))
 				}
 			case errors.Is(err, ErrFragmented):
-				if s.FreeBytes(n) < uint64(z) {
-					t.Fatalf("op %d: ErrFragmented but free bytes %d < %d", opi, s.FreeBytes(n), uint64(z))
+				if twin.FreeBytes(n) < uint64(z) {
+					t.Fatalf("op %d: ErrFragmented but free bytes %d < %d", opi, twin.FreeBytes(n), uint64(z))
 				}
 				if z == Size4K {
 					t.Fatalf("op %d: a 4K allocation can never fragment", opi)
@@ -220,23 +250,23 @@ func applyOps(t *testing.T, ops []byte) {
 			}
 		}
 		var liveBytes uint64
-		for c, l := range s.nodes[n].live {
+		for c, l := range twin.nodes[n].live {
 			liveBytes += uint64(len(l)) * (uint64(Size4K) << uint([]int{0, order2M, maxOrder}[c]))
 		}
-		if s.FreeBytes(n)+liveBytes != dram {
+		if twin.FreeBytes(n)+liveBytes != dram {
 			t.Fatalf("op %d: node %d conservation broken: free %d + live %d != %d",
-				opi, n, s.FreeBytes(n), liveBytes, dram)
+				opi, n, twin.FreeBytes(n), liveBytes, dram)
 		}
+		sameState(t, opi, s, twin)
 	}
 	checkInvariants(t, s)
+	checkInvariants(t, twin)
 	// Draining every live allocation must restore all nodes to empty
 	// top-order free lists (full coalescing).
 	for key, c := range liveCount {
 		z := []PageSize{Size4K, Size2M, Size1G}[key[1]]
-		for i := 0; i < c; i++ {
-			if err := s.Free(topo.NodeID(key[0]), z); err != nil {
-				t.Fatalf("drain free: %v", err)
-			}
+		if err := s.FreeRun(topo.NodeID(key[0]), z, c); err != nil {
+			t.Fatalf("drain free: %v", err)
 		}
 	}
 	for n := 0; n < s.Machine.Nodes; n++ {
@@ -255,13 +285,67 @@ func applyOps(t *testing.T, ops []byte) {
 	checkInvariants(t, s)
 }
 
+// sameState fails unless a and b hold the same allocator state: per
+// node the free bits of every order (a bitmap word past one System's
+// high-water mark counts as zero), the free counts, the free bytes and
+// the live lists in order, plus the shared LCG state. cursor is exempt:
+// it is only a lower bound for the lowest-address scan.
+func sameState(t *testing.T, opi int, a, b *System) {
+	t.Helper()
+	if a.rng != b.rng {
+		t.Fatalf("op %d: LCG state %#x != %#x", opi, a.rng, b.rng)
+	}
+	for n := range a.nodes {
+		x, y := a.nodes[n], b.nodes[n]
+		if x.freeBytes != y.freeBytes || x.nfree != y.nfree {
+			t.Fatalf("op %d node %d: freeBytes %d/%d, nfree %v/%v", opi, n, x.freeBytes, y.freeBytes, x.nfree, y.nfree)
+		}
+		for o := range x.bits {
+			for i := 0; i < len(x.bits[o]) || i < len(y.bits[o]); i++ {
+				if wa, wb := word(x.bits[o], i), word(y.bits[o], i); wa != wb {
+					t.Fatalf("op %d node %d order %d word %d: %#x != %#x", opi, n, o, i, wa, wb)
+				}
+			}
+		}
+		for c := range x.live {
+			if !slices.Equal(x.live[c], y.live[c]) {
+				t.Fatalf("op %d node %d: live lists of class %d differ", opi, n, c)
+			}
+		}
+	}
+}
+
+// word reads bitmap word i, zero past the high-water mark.
+func word(w []uint64, i int) uint64 {
+	if i < len(w) {
+		return w[i]
+	}
+	return 0
+}
+
+// fuzzSeeds are FuzzBuddy's corpus seeds and TestBuddyFuzzSeeds' cases.
+// The later ones scatter order-0 bits with random frees and then
+// allocate runs across them: 224 allocates 1000 frames on node 0, 176
+// frees 200, 96 and 128 allocate 63 and 64, 192 allocates 512 (carving
+// whole blocks), and 244 frees 1000 (an over-free).
+var fuzzSeeds = [][]byte{
+	{0, 4, 8, 16, 20, 24},
+	{0, 0, 0, 16, 4, 4, 20, 8, 24, 24},
+	{8, 8, 8, 8, 24},
+	{},
+	{224, 176, 96, 48, 128, 0, 176, 192, 176, 64, 32, 160},
+	{4, 0, 1, 2, 224, 176, 241, 194, 209, 96, 112, 128, 20, 192, 244},
+	{192, 20, 32, 212, 48, 176, 4, 160, 36, 132, 224},
+}
+
 // FuzzBuddy fuzzes random alloc/free sequences against the buddy
-// invariants; `go test -fuzz=FuzzBuddy -fuzztime=20s ./internal/mem`
-// runs in CI as a smoke step.
+// invariants and the run-vs-single differential;
+// `go test -fuzz=FuzzBuddy -fuzztime=20s ./internal/mem` runs in CI as
+// a smoke step.
 func FuzzBuddy(f *testing.F) {
-	f.Add([]byte{0, 4, 8, 16, 20, 24})
-	f.Add([]byte{0, 0, 0, 16, 4, 4, 20, 8, 24, 24})
-	f.Add([]byte{8, 8, 8, 8, 24})
+	for _, ops := range fuzzSeeds {
+		f.Add(ops)
+	}
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 4096 {
 			ops = ops[:4096]
@@ -272,12 +356,7 @@ func FuzzBuddy(f *testing.F) {
 
 func TestBuddyFuzzSeeds(t *testing.T) {
 	// The fuzz corpus seeds double as deterministic regression tests.
-	for _, ops := range [][]byte{
-		{0, 4, 8, 16, 20, 24},
-		{0, 0, 0, 16, 4, 4, 20, 8, 24, 24},
-		{8, 8, 8, 8, 24},
-		{},
-	} {
+	for _, ops := range fuzzSeeds {
 		applyOps(t, ops)
 	}
 }

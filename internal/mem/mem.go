@@ -114,6 +114,11 @@ type System struct {
 	nodes []*buddyNode // per-node buddy free lists (see buddy.go)
 	rng   uint64       // LCG state for Free's live-block pick
 
+	// victims stages FreeRun's batch of picked frames. It lives here,
+	// not on FreeRun's stack, so a call does not zero 1 KiB first:
+	// event-timeline teardowns call FreeRun once per same-node run.
+	victims [256]uint32
+
 	epochReq []float64 // requests recorded this epoch per node
 	totalReq []float64 // requests recorded over the whole run per node
 	latency  []float64 // lagged per-node access latency for the current epoch
@@ -166,33 +171,21 @@ func (s *System) Allocate(n topo.NodeID, size PageSize) error {
 }
 
 // AllocateRun reserves count frames of size bytes on node n, exactly as
-// count sequential Allocate calls would — each iteration re-checks free
-// bytes, takes one block from the buddy and registers it live — stopping
-// at the first failure and returning how many frames were reserved. The
-// batched allocation-fault path (vm.ApplyAllocFault4KRun) commits a whole
-// span of first-touches through one call here; because the per-frame
-// state transitions are the per-call sequence replayed, the buddy is left
-// byte-identical to the per-page path.
+// count sequential Allocate calls would — the same frames, registered
+// live in the same order, with the same free lists and free bytes
+// left behind — stopping at the first frame Allocate would fail on and
+// returning how many frames were reserved. The batched allocation-fault
+// path (vm.ApplyAllocFault4KRun) commits a whole span of first-touches
+// through one call here, and vm.Region.SplitChunk re-allocates a split
+// 2 MB page's 512 frames through one. The buddy serves the run a bitmap
+// word or a whole carved block at a time instead of one split-and-take
+// chain per frame (buddyNode.allocRun), which is why the result is
+// still the per-call sequence's byte for byte.
 func (s *System) AllocateRun(n topo.NodeID, size PageSize, count int) int {
 	if !size.Valid() {
 		return 0
 	}
-	b := s.nodes[n]
-	o := orderOf(size)
-	c := sizeClass(size)
-	done := 0
-	for done < count {
-		if uint64(size) > b.freeBytes {
-			break
-		}
-		frame, ok := b.alloc(o)
-		if !ok {
-			break
-		}
-		b.live[c] = append(b.live[c], uint32(frame>>uint(o)))
-		done++
-	}
-	return done
+	return s.nodes[n].allocRun(orderOf(size), sizeClass(size), count)
 }
 
 // Free releases one live frame of size bytes on node n, coalescing it
@@ -248,7 +241,7 @@ func (s *System) FreeRun(n topo.NodeID, size PageSize, count int) error {
 	// depends only on the LCG and the release loop's only on the staged
 	// victim — so the cache misses overlap instead of serializing
 	// extract→release→extract.
-	var victims [256]uint32
+	victims := &s.victims
 	for count > 0 {
 		batch := count
 		if batch > len(victims) {

@@ -239,3 +239,19 @@ func TestAllocationConservationProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// BenchmarkAllocateRun4K faults 8 GiB of 4 KB frames onto one node of a
+// fresh machine-B System in one run, the shape of a cell's first-touch
+// phase: the System's construction and its bitmap growth are part of
+// each operation, as they are of each simulated cell.
+func BenchmarkAllocateRun4K(b *testing.B) {
+	const frames = 8 << 30 >> frameShift
+	m := topo.MachineB()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s := NewSystem(m, LatencyParamsFor(m.Name))
+		if got := s.AllocateRun(0, Size4K, frames); got != frames {
+			b.Fatalf("reserved %d of %d frames", got, frames)
+		}
+	}
+}

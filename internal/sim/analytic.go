@@ -19,6 +19,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/ibs"
@@ -367,6 +368,15 @@ func (e *Engine) thinIBS(t, phase, src int, core topo.CoreID, s *threadScratch, 
 	if rr <= 0 {
 		return 0
 	}
+	// Size the sample buffer for the whole draw first: a fresh engine's
+	// per-thread buffers would otherwise regrow from nil by doubling.
+	// The counts are the same expressions the draw loop evaluates.
+	total := 0
+	for ri := range e.wl.Regions {
+		total += int(K*e.wl.RegionWeight(phase, ri)*e.profiles[ri].DRAM()*rr + s.ibsCarry[ri])
+	}
+	//lpnuma:alloc-ok one growth per draw at most; capacity stabilizes after warm-up (TestAnalyticEpochZeroAlloc)
+	s.samples = slices.Grow(s.samples, total)
 	var faultDirect float64
 	for ri := range e.wl.Regions {
 		w := e.wl.RegionWeight(phase, ri)

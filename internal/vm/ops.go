@@ -166,13 +166,16 @@ func (r *Region) SplitChunk(ci int, costs OpCosts) (float64, bool) {
 	node := c.node
 	mustFree(r.Space.Phys, node, mem.Size2M)
 	c.ensureSubs()
+	// One run of 512 frames is the 512 single allocations replayed
+	// (mem.System.AllocateRun), and freeing the 2 MB page just made room
+	// for all of them.
+	if r.Space.Phys.AllocateRun(node, mem.Size4K, SubsPerChunk) != SubsPerChunk {
+		panic("vm: split re-allocation failed on the page's own node")
+	}
 	for i := range c.subNode {
 		c.mapSub(i, node)
 		c.subAcc[i] = 0
 		c.subMask[i] = 0
-		if err := r.Space.Phys.Allocate(node, mem.Size4K); err != nil {
-			panic("vm: split re-allocation failed on the page's own node")
-		}
 	}
 	c.state = state4K
 	c.threadMask = 0
