@@ -5,6 +5,7 @@
 //
 //	lpnuma list                         # benchmarks, policies, experiments
 //	lpnuma run -m A -w CG.D -p THP      # one simulation, metrics to stdout
+//	lpnuma run -w CG.D,UA.B -p all      # several cells, one table row each
 //	lpnuma experiment fig1 [-scale 0.3] # regenerate a figure or table
 //	lpnuma all [-scale 0.3] [-j 8]      # regenerate everything (EXPERIMENTS.md source)
 //	lpnuma serve [-addr :8080]          # HTTP/JSON simulation daemon
@@ -42,7 +43,10 @@ import (
 
 	"repro/internal/report"
 	"repro/internal/runcache"
+	"repro/internal/runner"
 	"repro/internal/sim"
+	"repro/internal/topo"
+	"repro/internal/vm"
 	"repro/lpnuma"
 )
 
@@ -108,12 +112,19 @@ func exitCode(err error, stderr io.Writer) int {
 }
 
 // parseFlags runs fs.Parse with errors and -h output routed to stderr.
+// No subcommand takes positional arguments after its flags, so stray
+// ones are a usage error too: a silently ignored `run B UA.B Linux4K`
+// would print the default cell as if it were the answer.
 func parseFlags(fs *flag.FlagSet, args []string, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return flag.ErrHelp
 		}
+		return errFlagParse
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "unexpected arguments: %s\n", strings.Join(fs.Args(), " "))
 		return errFlagParse
 	}
 	return nil
@@ -189,11 +200,15 @@ func parseMode(value string, stderr io.Writer) (sim.Mode, error) {
 	return mode, nil
 }
 
+// runOne is the run subcommand. -m, -w and -p take comma lists or
+// "all": one cell prints its metrics block plus the per-node controller
+// load and per-region placement; several cells run through
+// lpnuma.RunAll and print one table row each.
 func runOne(args []string, stdout, stderr io.Writer) (retErr error) {
 	fs := flag.NewFlagSet("run", flag.ContinueOnError)
-	machine := fs.String("m", "A", "machine (A or B)")
-	workload := fs.String("w", "CG.D", "benchmark name")
-	pol := fs.String("p", "THP", "policy name")
+	machines := fs.String("m", "A", "machines, comma-separated (A, B or all)")
+	wls := fs.String("w", "CG.D", "benchmarks, comma-separated (or all)")
+	pols := fs.String("p", "THP", "policies, comma-separated (or all)")
 	seed := fs.Uint64("seed", 1, "simulation seed")
 	modeName := fs.String("mode", "sampled", "steady-state pricing engine (sampled or analytic)")
 	scale := fs.Float64("scale", 1.0, "work scale (<1 for quicker, noisier passes)")
@@ -218,11 +233,48 @@ func runOne(args []string, stdout, stderr io.Writer) (retErr error) {
 	cfg := lpnuma.DefaultConfig()
 	cfg.Mode = mode
 	cfg.WorkScale = *scale
+	ms := nameList(*machines, []string{"A", "B"})
+	ws := nameList(*wls, lpnuma.Workloads())
+	ps := nameList(*pols, lpnuma.Policies())
+	var reqs []lpnuma.Request
+	for _, m := range ms {
+		for _, w := range ws {
+			for _, p := range ps {
+				reqs = append(reqs, lpnuma.Request{Machine: m, Workload: w, Policy: p, Seed: *seed, Cfg: &cfg})
+			}
+		}
+	}
+	if len(reqs) == 1 {
+		return printCell(reqs[0], stdout)
+	}
 	start := time.Now()
-	res, err := lpnuma.Run(lpnuma.Request{Machine: *machine, Workload: *workload, Policy: *pol, Seed: *seed, Cfg: &cfg})
+	results, err := lpnuma.RunAll(reqs)
 	if err != nil {
 		return err
 	}
+	fmt.Fprintf(stdout, "%d runs in %v\n\n", len(results), time.Since(start).Round(time.Millisecond))
+	printTable(stdout, results, len(ps))
+	return nil
+}
+
+// nameList expands a comma-separated flag value; "all" names every
+// choice.
+func nameList(value string, all []string) []string {
+	if value == "all" {
+		return all
+	}
+	return strings.Split(value, ",")
+}
+
+// printCell runs one cell and prints its metrics, then the per-node
+// controller load and each region's node shares and page-table home.
+func printCell(req lpnuma.Request, stdout io.Writer) error {
+	start := time.Now()
+	eng, err := runner.NewEngine(req)
+	if err != nil {
+		return err
+	}
+	res := eng.Run()
 	fmt.Fprintf(stdout, "%s on machine %s under %s (simulated in %v)\n", res.Workload, res.Machine, res.Policy, time.Since(start).Round(time.Millisecond))
 	fmt.Fprintf(stdout, "  runtime      %.2fs (%d epochs)\n", res.RuntimeSeconds, res.Epochs)
 	fmt.Fprintf(stdout, "  LAR          %.1f%%\n", res.LARPct)
@@ -234,7 +286,70 @@ func runOne(args []string, stdout, stderr io.Writer) (retErr error) {
 	if res.TimedOut {
 		fmt.Fprintln(stdout, "  WARNING: simulation hit the time cap before completing")
 	}
+	phys := eng.Env().Phys
+	nodes := eng.Env().Machine.Nodes
+	tot := phys.TotalRequests()
+	sum := 0.0
+	for _, v := range tot {
+		sum += v
+	}
+	for n := 0; n < nodes; n++ {
+		fmt.Fprintf(stdout, "  node %d: reqShare %5.1f%%  lat %6.1f  util %5.2f\n",
+			n, tot[n]/sum*100, phys.Latency(topo.NodeID(n)), phys.Utilization(topo.NodeID(n)))
+	}
+	for _, br := range eng.Workload().Regions {
+		counts := make([]uint64, nodes)
+		var acc uint64
+		br.VM.ForEachPage(func(p vm.PageAccess) {
+			counts[p.Node] += p.Accesses
+			acc += p.Accesses
+		})
+		fmt.Fprintf(stdout, "  region %-14s accShare-by-node:", br.Spec.Name)
+		for _, c := range counts {
+			pct := 0.0
+			if acc > 0 {
+				pct = float64(c) / float64(acc) * 100
+			}
+			fmt.Fprintf(stdout, " %5.1f", pct)
+		}
+		fmt.Fprintln(stdout)
+		if home, ok := br.VM.PTHome(); ok {
+			fmt.Fprintf(stdout, "  region %-14s page tables on node %d (%d bytes)\n", br.Spec.Name, home, br.VM.PTBytes())
+		}
+	}
 	return nil
+}
+
+// printTable prints one row per result, in request order; results come
+// in groups of perGroup policies over one machine and workload, and
+// impr% is against that group's Linux4K cell when the group has one.
+func printTable(stdout io.Writer, results []lpnuma.Result, perGroup int) {
+	fmt.Fprintf(stdout, "%-16s %-2s %-12s %8s %7s %7s %7s %7s %7s %6s %6s %7s %9s %6s\n",
+		"workload", "M", "policy", "runtime", "impr%", "LAR", "imbal", "PTW%", "fault%", "PAMUP", "NHP", "PSP", "faultSec", "epochs")
+	for g := 0; g < len(results); g += perGroup {
+		group := results[g : g+perGroup]
+		var base lpnuma.Result
+		for _, r := range group {
+			if r.Policy == lpnuma.PolicyLinux4K {
+				base = r
+				break
+			}
+		}
+		for _, r := range group {
+			impr := 0.0
+			if base.RuntimeSeconds > 0 {
+				impr = lpnuma.ImprovementPct(base, r)
+			}
+			to := ""
+			if r.TimedOut {
+				to = " TIMEOUT"
+			}
+			fmt.Fprintf(stdout, "%-16s %-2s %-12s %7.2fs %+7.1f %6.1f%% %6.1f%% %6.1f%% %6.1f%% %5.1f%% %6d %6.1f%% %8.2fs %6d%s\n",
+				r.Workload, r.Machine, r.Policy, r.RuntimeSeconds, impr, r.LARPct, r.ImbalancePct,
+				r.PTWSharePct, r.MaxFaultSharePct, r.PageMetrics.PAMUPPct,
+				r.PageMetrics.NHP, r.PageMetrics.PSPPct, r.MaxCoreFaultSeconds, r.Epochs, to)
+		}
+	}
 }
 
 // experimentFlags are the parsed options of the experiment/all
@@ -267,10 +382,6 @@ func parseExperimentFlags(args []string, stderr io.Writer) (experimentFlags, err
 	}
 	// Report post-parse usage errors ourselves, with the same exit-2
 	// semantics as the flag package's own parse errors.
-	if len(fs.Args()) > 0 {
-		fmt.Fprintf(stderr, "unexpected arguments: %s\n", strings.Join(fs.Args(), " "))
-		return f, errFlagParse
-	}
 	if f.jobs < 0 {
 		fmt.Fprintf(stderr, "-j must be >= 0, got %d\n", f.jobs)
 		return f, errFlagParse

@@ -208,3 +208,72 @@ func TestProfileFlags(t *testing.T) {
 		}
 	}
 }
+
+func TestRunTableSmoke(t *testing.T) {
+	var out, errb bytes.Buffer
+	code := run([]string{"run", "-m", "A", "-w", "Kmeans", "-p", "Linux4K,THP", "-scale", "0.02"}, &out, &errb)
+	if code != 0 {
+		t.Fatalf("run exited %d: %s", code, errb.String())
+	}
+	s := out.String()
+	if !strings.Contains(s, "2 runs in") {
+		t.Fatalf("missing run count:\n%s", s)
+	}
+	for _, want := range []string{"workload", "impr%", "Kmeans", "Linux4K", "THP"} {
+		if !strings.Contains(s, want) {
+			t.Fatalf("table missing %q:\n%s", want, s)
+		}
+	}
+	// Two result rows (one per policy) beyond the header.
+	if n := strings.Count(s, "Kmeans"); n != 2 {
+		t.Fatalf("result rows = %d, want 2:\n%s", n, s)
+	}
+}
+
+func TestRunTableErrors(t *testing.T) {
+	var out, errb bytes.Buffer
+	if code := run([]string{"run", "-m", "A", "-w", "Kmeans,nope", "-p", "THP", "-scale", "0.02"}, &out, &errb); code != 1 {
+		t.Fatalf("unknown workload in a list exited %d, want 1", code)
+	}
+	if code := run([]string{"run", "-m", "A,Z", "-w", "Kmeans", "-p", "THP", "-scale", "0.02"}, &out, &errb); code != 1 {
+		t.Fatalf("unknown machine in a list exited %d, want 1", code)
+	}
+}
+
+func TestRunCellSmoke(t *testing.T) {
+	var out, errb bytes.Buffer
+	code := run([]string{"run", "-m", "A", "-w", "Kmeans", "-p", "THP", "-scale", "0.02"}, &out, &errb)
+	if code != 0 {
+		t.Fatalf("run exited %d: %s", code, errb.String())
+	}
+	for _, want := range []string{"Kmeans on machine A under THP", "runtime", "node 0:", "node 3:", "accShare-by-node", "page tables on node"} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("run output missing %q:\n%s", want, out.String())
+		}
+	}
+}
+
+func TestRunCellErrors(t *testing.T) {
+	var out, errb bytes.Buffer
+	if code := run([]string{"run", "-m", "Z"}, &out, &errb); code != 1 {
+		t.Fatalf("unknown machine exited %d, want 1", code)
+	}
+	if !strings.Contains(errb.String(), "unknown machine") {
+		t.Fatalf("missing error message: %s", errb.String())
+	}
+	if code := run([]string{"run", "-w", "nope", "-scale", "0.02"}, &out, &errb); code != 1 {
+		t.Fatalf("unknown workload exited %d, want 1", code)
+	}
+	if code := run([]string{"run", "-p", "nope", "-scale", "0.02"}, &out, &errb); code != 1 {
+		t.Fatalf("unknown policy exited %d, want 1", code)
+	}
+	// -h and an unknown flag are covered by TestHelpAndParseErrors. The
+	// positional style must error, not run the default cell.
+	errb.Reset()
+	if code := run([]string{"run", "-scale", "0.02", "B", "UA.B", "Linux4K"}, &out, &errb); code != 2 {
+		t.Fatalf("positional arguments exited %d, want 2", code)
+	}
+	if !strings.Contains(errb.String(), "unexpected arguments: B UA.B Linux4K") {
+		t.Fatalf("missing usage message: %s", errb.String())
+	}
+}

@@ -27,10 +27,6 @@ func runServe(args []string, stderr io.Writer) error {
 	if err := parseFlags(fs, args, stderr); err != nil {
 		return err
 	}
-	if len(fs.Args()) > 0 {
-		fmt.Fprintf(stderr, "unexpected arguments: %v\n", fs.Args())
-		return errFlagParse
-	}
 	srv, err := serve.New(serve.Config{
 		Workers:      *jobs,
 		MaxInflight:  *maxInflight,

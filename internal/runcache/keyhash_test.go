@@ -17,8 +17,7 @@ import (
 // (Mode was the instance that motivated it) silently reuses cached
 // results computed under a different configuration.
 var excludedKeyFields = map[string]bool{
-	"Workers": true,
-	"Pool":    true,
+	"Pool": true,
 	// Reference swaps the engine's optimized paths for its reference
 	// paths, which are byte-identity-equivalent by contract (DESIGN.md
 	// §4.10–4.11, enforced by sim's identity harness),
@@ -28,8 +27,8 @@ var excludedKeyFields = map[string]bool{
 
 // TestCfgHashPinned pins the content address of A/CG.D/THP in both
 // modes at three work scales to the values every earlier build wrote
-// into its cache logs. A change to hashConfig's serialization, or to a
-// calibration constant it covers, moves these literals — which is the
+// into its cache logs. A change to sim.Config.Hash's serialization, or to
+// a calibration constant it covers, moves these literals — which is the
 // point: it must be a deliberate, visible invalidation of every cache.
 func TestCfgHashPinned(t *testing.T) {
 	want := []struct {
@@ -58,7 +57,7 @@ func TestCfgHashPinned(t *testing.T) {
 // TestKeyCoversEveryConfigField walks every leaf field of sim.Config by
 // reflection, perturbs it, and requires the cell key to change (or, for
 // the exclusion list, to stay identical). A sim.Config field added
-// without extending hashConfig or excludedKeyFields fails here.
+// without extending sim.Config.Hash or excludedKeyFields fails here.
 func TestKeyCoversEveryConfigField(t *testing.T) {
 	base := sim.DefaultConfig()
 	keyFor := func(cfg sim.Config) Key {
@@ -79,7 +78,7 @@ func TestKeyCoversEveryConfigField(t *testing.T) {
 			continue
 		}
 		if got == baseKey {
-			t.Errorf("field %s does not affect the cell key: extend hashConfig (or excludedKeyFields if it provably cannot change results)", path)
+			t.Errorf("field %s does not affect the cell key: extend sim.Config.Hash (or excludedKeyFields if it provably cannot change results)", path)
 		}
 	}
 }

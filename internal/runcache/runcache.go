@@ -12,13 +12,11 @@ package runcache
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"runtime"
 	"sort"
 	"strings"
 	"sync"
 
-	"repro/internal/ibs"
 	"repro/internal/parallel"
 	"repro/internal/runner"
 	"repro/internal/sim"
@@ -32,7 +30,8 @@ type Key struct {
 	// Seed is the effective engine seed after the runner's override rule
 	// (Request.Seed when non-zero, else the config's own seed).
 	Seed uint64
-	// CfgHash fingerprints every remaining engine-configuration field.
+	// CfgHash fingerprints every remaining engine-configuration field
+	// (sim.Config.Hash).
 	CfgHash uint64
 }
 
@@ -59,46 +58,8 @@ func KeyOf(req runner.Request) Key {
 		Workload: req.Workload,
 		Policy:   req.Policy,
 		Seed:     seed,
-		CfgHash:  hashConfig(cfg),
+		CfgHash:  cfg.Hash(),
 	}
-}
-
-// The engine calibration that hashConfig serializes. sim keeps it as
-// unexported constants (epochSeconds, analyticCensus, allocRoundCycles,
-// maxAllocPerEpoch, maxSimSeconds), so this is a mirror: sim's
-// TestCalibrationPinned fails when one of them changes, which is the cue
-// to change it here too and so move every content address.
-const (
-	simEpochSeconds     float64 = 0.05
-	simAnalyticCensus   int     = 8
-	simAllocRoundCycles float64 = 250000
-	simMaxAllocPerEpoch int     = 50000
-	simMaxSimSeconds    float64 = 900
-)
-
-// hashConfig fingerprints an engine configuration (FNV-1a over an
-// explicit serialization, so the hash is stable across processes and Go
-// versions, unlike hashing the in-memory representation). The
-// serialization covers the calibration — the sim constants above and
-// ibs.DefaultConfig — and every sim.Config field except Workers, Pool
-// and Reference: the engine's results are byte-identical for any worker
-// count and on its reference paths (enforced by test), so cells
-// differing only in those knobs must share one cache entry. Mode is
-// covered (a cached sampled result must never answer an analytic cell),
-// and TestKeyCoversEveryConfigField enforces exhaustiveness by
-// reflection, so adding a sim.Config field without extending this
-// serialization (or the explicit exclusion list) fails the build's
-// tests. TestCfgHashPinned pins the resulting addresses, which existing
-// cache logs were written under.
-func hashConfig(cfg sim.Config) uint64 {
-	ib := ibs.DefaultConfig()
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%g|%d|%d|%g|%d|%g|%g|%d|%g|%g|%g|%d",
-		cfg.Mode, simEpochSeconds, cfg.SteadySamples, simAnalyticCensus,
-		simAllocRoundCycles, simMaxAllocPerEpoch, simMaxSimSeconds,
-		cfg.WorkScale, cfg.Seed,
-		ib.Rate, ib.RecordRate, ib.CyclesPerSample, ib.MaxPerNode)
-	return h.Sum64()
 }
 
 // Stats describes one Results batch from the caller's point of view.
@@ -265,10 +226,6 @@ func (s *Scheduler) withPool(req runner.Request) runner.Request {
 		cfg = *req.Cfg
 	}
 	cfg.Pool = s.pool
-	// Under a scheduler the pool is the only parallelism authority: a
-	// caller-set Workers would bypass it (the engine gives Workers
-	// precedence) and oversubscribe the host by up to -j × Workers.
-	cfg.Workers = 0
 	req.Cfg = &cfg
 	return req
 }

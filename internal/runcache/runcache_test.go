@@ -76,11 +76,11 @@ func TestKeyNormalization(t *testing.T) {
 	}
 }
 
-// The exhaustive field-coverage guard for hashConfig lives in
+// The exhaustive field-coverage guard for sim.Config.Hash lives in
 // keyhash_test.go (TestKeyCoversEveryConfigField): it walks sim.Config
 // by reflection at the KeyOf level, so both the hash and the
-// seed-normalization path are covered, and asserts the parallelism
-// knobs stay excluded.
+// seed-normalization path are covered, and asserts the pool and the
+// reference switch stay excluded.
 
 func TestIdenticalCellsRunOnce(t *testing.T) {
 	fake := newFakeRunner()

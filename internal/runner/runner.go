@@ -52,22 +52,33 @@ func Run(req Request) (sim.Result, error) {
 // RunContext executes one simulation, aborting between epochs when ctx
 // is canceled (the engine polls the context once per epoch, so
 // cancellation latency is one epoch of host time). The returned error is
-// ctx.Err() on cancellation, a resolution sentinel
-// (ErrUnknownMachine, workloads.ErrUnknownWorkload,
-// policy.ErrUnknownPolicy) wrapped with request context on a bad name,
-// or an engine construction failure.
+// ctx.Err() on cancellation or a NewEngine failure.
 func RunContext(ctx context.Context, req Request) (sim.Result, error) {
-	m, err := MachineByName(req.Machine)
+	eng, err := NewEngine(req)
 	if err != nil {
 		return sim.Result{}, err
+	}
+	return eng.RunContext(ctx)
+}
+
+// NewEngine resolves a request's names and builds its engine, ready to
+// run; callers that inspect the engine after the run (per-node
+// controller load, per-region placement) build it here too. The error
+// is a resolution sentinel (ErrUnknownMachine,
+// workloads.ErrUnknownWorkload, policy.ErrUnknownPolicy) wrapped with
+// request context on a bad name, or an engine construction failure.
+func NewEngine(req Request) (*sim.Engine, error) {
+	m, err := MachineByName(req.Machine)
+	if err != nil {
+		return nil, err
 	}
 	spec, err := workloads.ByName(req.Workload)
 	if err != nil {
-		return sim.Result{}, err
+		return nil, err
 	}
 	pol, err := policy.ByName(req.Policy)
 	if err != nil {
-		return sim.Result{}, err
+		return nil, err
 	}
 	cfg := sim.DefaultConfig()
 	if req.Cfg != nil {
@@ -76,11 +87,7 @@ func RunContext(ctx context.Context, req Request) (sim.Result, error) {
 	if req.Seed != 0 {
 		cfg.Seed = req.Seed
 	}
-	eng, err := sim.New(m, spec, pol, cfg)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	return eng.RunContext(ctx)
+	return sim.New(m, spec, pol, cfg)
 }
 
 // ImprovementPct is the paper's performance metric: percent improvement of

@@ -33,7 +33,7 @@ import (
 type Mode uint8
 
 const (
-	// ModeSampled is the Monte-Carlo loop of DESIGN.md §4.2: SteadySamples
+	// ModeSampled is the Monte-Carlo loop of DESIGN.md §4.2: steadySamples
 	// priced accesses per thread per epoch.
 	ModeSampled Mode = iota
 	// ModeAnalytic is the closed-form expectation engine of DESIGN.md
@@ -266,7 +266,7 @@ func (e *Engine) applyContention(src int, latRow, fabRow []float64, mlp float64,
 
 // priceAnalytic prices one thread's steady-state epoch in closed form.
 // All accumulations are kept in the same per-K-samples normalization as
-// the sampled loop (counts here are expectations over K = SteadySamples
+// the sampled loop (counts here are expectations over K = steadySamples
 // accesses), so the shared merge stage and settleThread apply unchanged
 // and the flushed totals agree with the sampled engine in expectation.
 //
@@ -280,7 +280,7 @@ func (e *Engine) priceAnalytic(t, epoch int, epochCycles float64, assess tlb.Ass
 	px := e.beginPricing(t, epoch)
 	s := px.s
 	g := s.geom
-	K := float64(e.cfg.SteadySamples)
+	K := float64(e.samples)
 
 	gKey := memoKey{gen: e.geomGen, phase: px.phase}
 	if e.cfg.Reference || g.key != gKey {

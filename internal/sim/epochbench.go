@@ -12,9 +12,6 @@ package sim
 import (
 	"fmt"
 	"time"
-
-	"repro/internal/topo"
-	"repro/internal/workloads"
 )
 
 // EpochBenchResult reports seconds per steady-state pricing epoch for
@@ -28,18 +25,16 @@ type EpochBenchResult struct {
 	Threads int
 }
 
-// BenchAnalyticEpoch advances a fresh engine past its allocation
-// barrier, then times `reps` repricings of one steady-state epoch in
-// both variants. The engine is discarded afterwards; nothing about the
-// run's results is observable, so the harness cannot perturb any
-// simulation contract.
-func BenchAnalyticEpoch(machine *topo.Machine, spec workloads.Spec, os OS, cfg Config, reps int) (EpochBenchResult, error) {
-	cfg.Mode = ModeAnalytic
-	cfg.Reference = false
-	e, err := New(machine, spec, os, cfg)
-	if err != nil {
-		return EpochBenchResult{}, err
+// BenchAnalyticEpoch advances a fresh ModeAnalytic engine past its
+// allocation barrier, then times `reps` repricings of one steady-state
+// epoch in both variants. The engine is spent afterwards: discard it.
+// Nothing about a run's results is observable, so the harness cannot
+// perturb any simulation contract.
+func (e *Engine) BenchAnalyticEpoch(reps int) (EpochBenchResult, error) {
+	if e.cfg.Mode != ModeAnalytic {
+		return EpochBenchResult{}, fmt.Errorf("sim: epoch benchmark needs a %v engine, got %v", ModeAnalytic, e.cfg.Mode)
 	}
+	e.cfg.Reference = false
 	epochCycles := epochSeconds * e.machine.FreqHz
 	for epoch := 0; epoch < 10000 && !e.wl.AllocAllDone(); epoch++ {
 		e.runEpoch(epoch, epochCycles)

@@ -10,7 +10,7 @@ package sim_test
 // One caveat is asserted explicitly rather than papered over: runtime
 // is the MAX over threads of per-thread finish times, and the sampled
 // engine's per-thread Monte-Carlo noise spreads that max upward by an
-// extreme-value bias of order σ·√(2·ln T) with σ ∝ 1/√SteadySamples.
+// extreme-value bias of order σ·√(2·ln T) with σ ∝ 1/√steadySamples.
 // On cells that saturate a controller (CG.D on machine B, where
 // per-access DRAM cost is large and volatile) that bias is 2-5% at the
 // default 320 samples and shrinks as samples grow — the analytic
@@ -32,7 +32,7 @@ import (
 // eqCell is one reference cell of the equivalence matrix.
 type eqCell struct {
 	machine, workload, pol string
-	// samples overrides SteadySamples for both engines (0 = default):
+	// samples overrides steadySamples for both engines (0 = default):
 	// the variance-reduced reference for saturated-controller cells.
 	samples int
 	// runtimeTolPct is the relative runtime tolerance in percent.
@@ -101,12 +101,12 @@ func runMode(t *testing.T, c eqCell, mode sim.Mode, seed uint64) sim.Result {
 	cfg.WorkScale = 0.05
 	cfg.Mode = mode
 	cfg.Seed = seed
-	if c.samples > 0 {
-		cfg.SteadySamples = c.samples
-	}
 	eng, err := sim.New(machine, spec, pol, cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if c.samples > 0 {
+		sim.SetSteadySamples(eng, c.samples)
 	}
 	res := eng.Run()
 	if res.TimedOut {

@@ -150,12 +150,12 @@ func runIdentity(t *testing.T, c identityCell, workers int, reference bool) (sim
 	cfg := sim.DefaultConfig()
 	cfg.WorkScale = c.workScale
 	cfg.Mode = c.mode
-	cfg.Workers = workers
 	cfg.Reference = reference
 	eng, err := sim.New(machine, spec, pol, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sim.SetWorkers(eng, workers)
 	res := eng.Run()
 	if res.TimedOut {
 		t.Fatalf("%s timed out", c.name())
@@ -166,8 +166,8 @@ func runIdentity(t *testing.T, c identityCell, workers int, reference bool) (sim
 // checkIdentity is the harness: the optimized engine at 1, 2 and
 // NumCPU workers equals the single-worker Reference run exactly, and on
 // full-scale cells the Reference run is itself worker-count invariant.
-// runcache relies on this to exclude Config.Workers, Pool and Reference
-// from cell addresses.
+// Config.Hash relies on this to exclude Pool and Reference from cell
+// addresses.
 func checkIdentity(t *testing.T, c identityCell) {
 	t.Helper()
 	if c.spec != nil && len(c.spec.Events) == 0 {

@@ -79,7 +79,7 @@ func TestSteadyEpochZeroAlloc(t *testing.T) {
 }
 
 // BenchmarkSteadyEpoch measures stage 1 of the engine: pricing one full
-// steady-state epoch (64 threads × SteadySamples accesses on machine B)
+// steady-state epoch (64 threads × steadySamples accesses on machine B)
 // against the epoch snapshot. Run with -benchmem; the allocation count
 // must be 0 (also enforced by TestSteadyEpochZeroAlloc).
 func BenchmarkSteadyEpoch(b *testing.B) {
@@ -212,7 +212,7 @@ func BenchmarkIBSThinning(b *testing.B) {
 	eng := analyticEngine(b)
 	assess, epochCycles := primeSteady(b, eng)
 	priceOneEpochAnalytic(eng, assess, epochCycles) // warm scratch + carries
-	K := float64(eng.cfg.SteadySamples)
+	K := float64(eng.samples)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -236,7 +236,7 @@ func BenchmarkIBSThinning(b *testing.B) {
 // shared-accounting overhead and the scaling on multi-core hosts.
 func BenchmarkSteadyEpochParallel(b *testing.B) {
 	eng := steadyEngine(b)
-	eng.cfg.Workers = runtime.NumCPU()
+	SetWorkers(eng, runtime.NumCPU())
 	assess, epochCycles := primeSteady(b, eng)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

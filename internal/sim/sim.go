@@ -23,6 +23,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"hash/fnv"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -43,11 +44,15 @@ import (
 
 // The evaluation calibration. Every result in EXPERIMENTS.md comes from
 // this one model, so these are constants rather than Config fields;
-// runcache.hashConfig still serializes them (with ibs.DefaultConfig)
-// into every content address, so changing one moves every cell key.
+// Config.Hash still serializes them (with ibs.DefaultConfig) into every
+// content address, so changing one moves every cell key.
 const (
 	// epochSeconds is the simulation quantum.
 	epochSeconds float64 = 0.05
+	// steadySamples is the number of priced accesses per thread per
+	// steady epoch in ModeSampled (and the K the analytic engine's
+	// expected counts are scaled to).
+	steadySamples int = 320
 	// analyticCensus is the number of ground-truth census draws per
 	// thread per steady epoch in ModeAnalytic: resolved (not priced)
 	// accesses that keep the per-page accounting behind PAMUP/NHP/PSP
@@ -71,15 +76,12 @@ const (
 // (see the constants above).
 type Config struct {
 	// Mode selects the steady-state pricing implementation: ModeSampled
-	// (the default) prices SteadySamples representative accesses per
+	// (the default) prices steadySamples representative accesses per
 	// thread per epoch; ModeAnalytic accumulates the same quantities in
 	// closed form per (thread, region) and thins the expected event
 	// counts into a deterministic IBS sample stream (DESIGN.md §4.7).
 	// Allocation phases always run at full fidelity regardless of mode.
 	Mode Mode
-	// SteadySamples is the number of priced accesses per thread per epoch
-	// in steady state.
-	SteadySamples int
 	// WorkScale multiplies the workload's WorkPerThread (0 = 1.0); the
 	// benchmark harness uses fractional scales for quick regeneration
 	// passes.
@@ -96,27 +98,41 @@ type Config struct {
 	// must be a pure evaluation-order change, so results are
 	// byte-identical with the switch on or off — the identity harness
 	// (identity_test.go) compares the two with == across a matrix of
-	// cells — and, like Workers, the field is
-	// excluded from runcache's content address.
+	// cells — and, like Pool, the field is excluded from the content
+	// address (Hash).
 	Reference bool
 
-	// Workers caps the intra-run worker count of the parallel pricing
-	// stage: 0 selects the host parallelism (or defers to Pool when one
-	// is attached), 1 forces serial pricing. Results are byte-identical
-	// for any value — worker count changes only wall-clock time — so the
-	// field is deliberately excluded from runcache's content address.
-	Workers int
 	// Pool, when non-nil, is the worker-token budget shared with the
 	// sweep scheduler: the engine opportunistically borrows free tokens
 	// as extra pricing workers and returns them after each epoch, so one
 	// -j knob governs total host parallelism with no oversubscription.
-	// Like Workers, the pool cannot affect results.
+	// Without a pool the pricing stage uses GOMAXPROCS workers, capped at
+	// the runnable threads. The worker count changes only wall-clock
+	// time, never results, so the pool is excluded from Hash.
 	Pool *parallel.Pool
 }
 
 // DefaultConfig returns the evaluation configuration.
 func DefaultConfig() Config {
-	return Config{SteadySamples: 320, Seed: 1}
+	return Config{Seed: 1}
+}
+
+// Hash is the configuration's content address: FNV-1a over an explicit
+// serialization, stable across processes and Go versions. It covers the
+// calibration (the constants above and ibs.DefaultConfig) and every
+// field except Pool and Reference, which cannot change results
+// (enforced by test). runcache's TestKeyCoversEveryConfigField checks
+// the coverage by reflection, and TestCfgHashPinned pins the addresses
+// existing cache logs were written under, so a recalibration fails there.
+func (c Config) Hash() uint64 {
+	ib := ibs.DefaultConfig()
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%d|%g|%d|%d|%g|%d|%g|%g|%d|%g|%g|%g|%d",
+		c.Mode, epochSeconds, steadySamples, analyticCensus,
+		allocRoundCycles, maxAllocPerEpoch, maxSimSeconds,
+		c.WorkScale, c.Seed,
+		ib.Rate, ib.RecordRate, ib.CyclesPerSample, ib.MaxPerNode)
+	return h.Sum64()
 }
 
 // OS is the policy-side interface: a policy assembles the THP setting and
@@ -370,6 +386,12 @@ type Engine struct {
 	// maxAlloc bounds one thread's allocation touches per epoch
 	// (maxAllocPerEpoch; a test lowers it to force many alloc epochs).
 	maxAlloc int
+	// samples is the priced accesses per thread per steady epoch
+	// (steadySamples; tests raise it for variance-reduced references).
+	samples int
+	// workers caps the pricing stage's worker count (0 = Pool or
+	// GOMAXPROCS; tests pin it to check worker-count invariance).
+	workers int
 
 	threads        int
 	nodes          int
@@ -459,6 +481,7 @@ func New(m *topo.Machine, spec workloads.Spec, policy OS, cfg Config) (*Engine, 
 		rng:      stats.NewRng(cfg.Seed),
 		ibs:      ibs.DefaultConfig(),
 		maxAlloc: maxAllocPerEpoch,
+		samples:  steadySamples,
 		threads:  m.TotalCores(),
 		nodes:    m.Nodes,
 	}
@@ -968,11 +991,8 @@ func (e *Engine) steadyWorkers(nrun int) (workers, borrowed int) {
 	if limit < 1 {
 		limit = 1
 	}
-	if e.cfg.Workers > 0 {
-		if e.cfg.Workers < limit {
-			return e.cfg.Workers, 0
-		}
-		return limit, 0
+	if e.workers > 0 {
+		return min(e.workers, limit), 0
 	}
 	if e.cfg.Pool != nil {
 		// The engine's own goroutine already holds one token (its
@@ -1119,7 +1139,7 @@ func (e *Engine) priceSteady(t, epoch int, epochCycles float64, assess tlb.Asses
 
 	var sumCost, faultDirect float64
 	var local, remote, dataL2, ptwL2, tlbMiss, churnCycles float64
-	K := e.cfg.SteadySamples
+	K := e.samples
 	for i := 0; i < K; i++ {
 		acc := e.wl.NextSteadyPhase(t, rng, phase)
 		br := e.wl.Regions[acc.RegionIdx]
@@ -1264,7 +1284,7 @@ func (e *Engine) settleThread(t, phase int, startBudget, epochCycles, avg, fault
 	}
 	e.progress[t] += realAccesses
 	s.realAccesses = realAccesses
-	s.scale = realAccesses / float64(e.cfg.SteadySamples)
+	s.scale = realAccesses / float64(e.samples)
 	return true
 }
 

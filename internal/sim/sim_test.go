@@ -281,16 +281,3 @@ func TestPhaseChangeShiftsTraffic(t *testing.T) {
 		t.Fatalf("phase shift did not raise shared-region traffic: %d vs %d", phasedShared, base)
 	}
 }
-
-// TestCalibrationPinned pins the calibration constants. runcache cannot
-// import them, so runcache.hashConfig serializes a mirror of them into
-// every content address: a recalibration must update that mirror (and
-// its pinned CfgHash literals) too, or cached results computed under
-// the old calibration would keep answering new cells.
-func TestCalibrationPinned(t *testing.T) {
-	got := [...]float64{epochSeconds, float64(analyticCensus), allocRoundCycles, float64(maxAllocPerEpoch), maxSimSeconds}
-	want := [...]float64{0.05, 8, 250000, 50000, 900}
-	if got != want {
-		t.Fatalf("calibration %v, want %v: update runcache's mirror and TestCfgHashPinned with it", got, want)
-	}
-}

@@ -109,14 +109,21 @@ func (c *chunk) buildSubRuns() {
 	c.runsOK = true
 }
 
+// subArrays backs a split chunk's three per-4 KB slices with one
+// allocation (widest element first, so the arrays pack without padding).
+type subArrays struct {
+	mask [SubsPerChunk]uint64
+	acc  [SubsPerChunk]uint32
+	node [SubsPerChunk]uint8
+}
+
 func (c *chunk) ensureSubs() {
 	if c.subNode == nil {
-		c.subNode = make([]uint8, SubsPerChunk) //lpnuma:alloc-ok one-time per-chunk first-touch setup, amortized over the chunk's 512 pages
-		for i := range c.subNode {
-			c.subNode[i] = unmappedNode
+		a := new(subArrays) //lpnuma:alloc-ok one-time per-chunk first-touch setup, amortized over the chunk's 512 pages
+		for i := range a.node {
+			a.node[i] = unmappedNode
 		}
-		c.subAcc = make([]uint32, SubsPerChunk)  //lpnuma:alloc-ok one-time per-chunk first-touch setup, amortized over the chunk's 512 pages
-		c.subMask = make([]uint64, SubsPerChunk) //lpnuma:alloc-ok one-time per-chunk first-touch setup, amortized over the chunk's 512 pages
+		c.subNode, c.subAcc, c.subMask = a.node[:], a.acc[:], a.mask[:]
 	}
 }
 

@@ -107,19 +107,12 @@ type EpochBenchResult = sim.EpochBenchResult
 // records the two as its sim.epoch_full_us and sim.epoch_quiet_us
 // metrics.
 func BenchAnalyticEpoch(machineName, workload, policyName string, cfg Config, reps int) (EpochBenchResult, error) {
-	machine, err := runner.MachineByName(machineName)
+	cfg.Mode = ModeAnalytic
+	eng, err := runner.NewEngine(Request{Machine: machineName, Workload: workload, Policy: policyName, Cfg: &cfg})
 	if err != nil {
 		return EpochBenchResult{}, err
 	}
-	spec, err := workloads.ByName(workload)
-	if err != nil {
-		return EpochBenchResult{}, err
-	}
-	pol, err := policy.ByName(policyName)
-	if err != nil {
-		return EpochBenchResult{}, err
-	}
-	return sim.BenchAnalyticEpoch(machine, spec, pol, cfg, reps)
+	return eng.BenchAnalyticEpoch(reps)
 }
 
 // PhaseWall is the cumulative host wall time per epoch phase; see
