@@ -45,7 +45,8 @@ func (thpPolicy) Name() string { return "test" }
 func (thpPolicy) Setup(env *sim.Env) {
 	env.Space.AllocSize = func(*vm.Region, int) mem.PageSize { return mem.Size2M }
 }
-func (thpPolicy) Tick(*sim.Env, float64) float64 { return 0 }
+func (thpPolicy) Tick(*sim.Env, float64) float64    { return 0 }
+func (thpPolicy) NextDaemonDue(now float64) float64 { return now }
 
 func sample(r *vm.Region, chunk, thread int, node topo.NodeID, dram bool) ibs.Sample {
 	return ibs.Sample{

@@ -31,7 +31,8 @@ func (p *testPolicy) Setup(env *sim.Env) {
 	p.h.thp = thp.New(env.Space, true, env.Costs)
 	env.THP = p.h.thp
 }
-func (p *testPolicy) Tick(*sim.Env, float64) float64 { return 0 }
+func (p *testPolicy) Tick(*sim.Env, float64) float64    { return 0 }
+func (p *testPolicy) NextDaemonDue(now float64) float64 { return now }
 
 func newHarness(t *testing.T) *harness {
 	t.Helper()
@@ -261,6 +262,7 @@ func (v *lpVariant) Tick(env *sim.Env, now float64) float64 {
 	}
 	return overhead
 }
+func (v *lpVariant) NextDaemonDue(now float64) float64 { return now }
 
 // BenchmarkAblationSplitGranularity compares the paper's
 // split-all-shared-pages rule against splitting only hot pages, on the

@@ -139,7 +139,7 @@ func (p *Pipeline) Tick(env *sim.Env, now float64) float64 {
 	return overhead
 }
 
-// NextDaemonDue implements sim.DaemonScheduler: a pipeline performs
+// NextDaemonDue implements sim.OS: a pipeline performs
 // daemon work only inside hooks, so the next due time is the earliest
 // hook deadline. The due test reuses Tick's exact firing gate
 // (now-last >= period) so the engine's quiescence decision and the

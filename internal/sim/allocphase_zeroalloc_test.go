@@ -43,7 +43,8 @@ func (giant1G) Setup(env *Env) {
 		}
 	}
 }
-func (giant1G) Tick(*Env, float64) float64 { return 0 }
+func (giant1G) Tick(*Env, float64) float64        { return 0 }
+func (giant1G) NextDaemonDue(now float64) float64 { return now }
 
 // TestAllocPhaseZeroAllocSteadyState pins the allocation phase's
 // zero-allocation invariant: once per-thread scratch is warm, advancing

@@ -121,25 +121,6 @@ type threadGeom struct {
 	tlbMiss     float64
 	churn       float64
 	markFaulter bool
-
-	// Merge-flush memo (DESIGN.md §4.11): the scaled products the merge
-	// stage pushes into the controller/fabric models and the run counters
-	// are functions of the contention outputs above and the epoch's flush
-	// scale only, so they are keyed on (appKey, scale). In a converged
-	// steady stretch neither moves epoch over epoch and mergeSteady
-	// replays the memoized delta; a float product is deterministic, so
-	// the replay is byte-identical to recomputing (the identity harness
-	// covers the memo because Config.Reference disables it).
-	flushKey   memoKey
-	flushScale float64
-	physFlush  []float64 // homeCnt[h]·scale
-	walkFlush  []float64 // walkCnt[h]·scale; nil unless PT pricing is on
-	localX     float64
-	remoteX    float64
-	dataL2X    float64
-	ptwL2X     float64
-	tlbMissX   float64
-	churnX     float64
 }
 
 // censusBacklogEpochs bounds the deferred-census backlog: the census is

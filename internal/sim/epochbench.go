@@ -39,13 +39,13 @@ func (e *Engine) BenchAnalyticEpoch(reps int) (EpochBenchResult, error) {
 	for epoch := 0; epoch < 10000 && !e.wl.AllocAllDone(); epoch++ {
 		e.runEpoch(epoch, epochCycles)
 	}
+	e.clock.lap(phaseIdle)
 	if !e.wl.AllocAllDone() {
 		return EpochBenchResult{}, fmt.Errorf("sim: allocation phase did not finish")
 	}
-	e.env.Space.BeginEpoch()
-	e.snapshotEpoch()
-	e.refreshNodeDists()
-	assess := e.tlbModel.Assess(e.wl.TLBSegments(0, e.counts))
+	fired := e.fireEvents()
+	assess := e.snapshot(fired)
+	e.census(fired, false, e.threads, epochCycles)
 
 	price := func(full, quiet bool) {
 		e.cfg.Reference = full

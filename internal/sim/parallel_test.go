@@ -15,9 +15,10 @@ import (
 // external test package: the policy registry imports sim, so the matrix
 // cannot live in this package).
 
-// primeSteady advances an engine past its allocation barrier and
-// prepares a steady-state epoch context (the snapshot runEpoch builds
-// before pricing), so benchmarks can exercise the sampling loop alone.
+// primeSteady advances an engine past its allocation barrier and runs
+// the events and snapshot phases of a steady-state epoch (what runEpoch
+// builds before pricing), so benchmarks can exercise the sampling loop
+// alone.
 func primeSteady(tb testing.TB, e *Engine) (tlb.Assessment, float64) {
 	tb.Helper()
 	epochCycles := epochSeconds * e.machine.FreqHz
@@ -30,9 +31,7 @@ func primeSteady(tb testing.TB, e *Engine) (tlb.Assessment, float64) {
 	if !e.wl.AllocAllDone() {
 		tb.Fatal("allocation phase did not finish")
 	}
-	e.env.Space.BeginEpoch()
-	e.snapshotEpoch()
-	return e.tlbModel.Assess(e.wl.TLBSegments(0, e.counts)), epochCycles
+	return e.snapshot(e.fireEvents()), epochCycles
 }
 
 // priceOneEpoch reprices every thread's steady epoch serially with reset

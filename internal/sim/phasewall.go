@@ -1,19 +1,21 @@
 package sim
 
-// Opt-in phase instrumentation for the epoch loop (README "Profiling").
-// Every epoch passes through four phases — allocation faulting, parallel
-// steady-state pricing, the serial merge stage, and the policy daemon
-// tick — and whole-run optimization work needs to know which one the
-// wall clock went to. Two independent switches, both process-wide and
-// default-off so unobserved runs pay nothing but a few predictable
-// branch-not-taken loads per epoch:
+// Phase instrumentation for the run (README "Profiling"). A run is one
+// fixed sequence of named phases: setup (New); per epoch events,
+// snapshot, alloc, census, price, merge, end-epoch and daemon
+// (DESIGN.md §4.2); then finalize (RunContext's Result assembly). Each
+// engine carries one phaseClock whose lap is the only boundary between
+// phases: it closes the open phase and opens the next, so the phases
+// tile the run with no gaps and no step can be left unattributed. Two
+// independent switches, both process-wide and default-off, so
+// unobserved runs pay two predictable atomic loads per boundary:
 //
 //   - SetPhaseTracking accumulates host wall seconds per phase across
 //     every engine in the process (lpbench reports the breakdown).
 //   - SetPhaseLabels tags the executing goroutine with a pprof label
-//     ("lpnuma_phase": alloc | steady-price | merge | daemon) at each
-//     phase boundary, so `go tool pprof -tagfocus` can slice a CPU
-//     profile by phase (the lpnuma -cpuprofile flag turns this on).
+//     ("lpnuma_phase", see phaseNames) at each boundary, so
+//     `go tool pprof -tagfocus` can slice a CPU profile by phase (the
+//     lpnuma -cpuprofile flag turns this on).
 //
 // Host time is diagnostics only: it never feeds a simulation input and
 // is not part of Result, so the determinism contract is untouched.
@@ -25,51 +27,85 @@ import (
 	"time"
 )
 
-// Epoch phases, in execution order.
+// Run phases, in execution order.
 const (
-	phaseAlloc = iota
+	phaseSetup = iota
+	phaseEvents
+	phaseSnapshot
+	phaseAlloc
+	phaseCensus
 	phasePrice
 	phaseMerge
+	phaseEndEpoch
 	phaseDaemon
+	phaseFinalize
 	numPhases
+	// phaseIdle is the stopped clock: no wall slot, no label.
+	phaseIdle = numPhases
 )
 
-// PhaseWall is the cumulative host wall time spent in each epoch phase
+// phaseNames are the pprof label values, indexed by phase.
+var phaseNames = [numPhases]string{
+	"setup", "events", "snapshot", "alloc", "census",
+	"steady-price", "merge", "end-epoch", "daemon", "finalize",
+}
+
+// PhaseWall is the cumulative host wall time spent in each run phase
 // since the last ResetPhaseWall, summed over all engines in the
-// process (workers accumulate concurrently).
+// process (workers accumulate concurrently). The fields together cover
+// a run from New to the return of RunContext.
 type PhaseWall struct {
-	AllocSeconds  float64 // allocation-fault rounds (full fidelity in both modes)
+	AllocSeconds  float64 // budgets, allocation-fault rounds, initialization barrier
 	PriceSeconds  float64 // parallel steady-state pricing (stage 1)
 	MergeSeconds  float64 // serial merge of deferred mutations (stage 2)
-	DaemonSeconds float64 // policy daemon tick (OS.Tick)
+	DaemonSeconds float64 // policy daemon tick (OS.Tick) and its overhead charge
+
+	SetupSeconds    float64 // New: models, workload build, policy Setup
+	EventsSeconds   float64 // epoch open (vm BeginEpoch) and event firing
+	SnapshotSeconds float64 // read-only epoch snapshot and TLB assessment
+	CensusSeconds   float64 // analytic placement census and contention refresh
+	EndEpochSeconds float64 // controller/fabric EndEpoch and the clock advance
+	FinalizeSeconds float64 // Result assembly
 }
 
 var (
-	phaseTrackOn atomic.Bool
-	phaseLabelOn atomic.Bool
-	phaseWallNS  [numPhases]atomic.Int64
+	// phaseTrackGen is 0 while tracking is off; turning tracking on
+	// stores a fresh generation from phaseTrackSeq, so a clock never
+	// charges an interval whose start it timed under an earlier window.
+	phaseTrackGen atomic.Uint64
+	phaseTrackSeq atomic.Uint64
+	phaseLabelOn  atomic.Bool
+	phaseWallNS   [numPhases]atomic.Int64
 )
 
 // phaseCtx holds one precomputed label context per phase plus the
-// unlabeled base; precomputing keeps SetGoroutineLabels the only
-// per-boundary cost (pprof.Do would build labels and allocate per call).
+// unlabeled base at phaseIdle; precomputing keeps SetGoroutineLabels
+// the only per-boundary cost (pprof.Do would build labels and allocate
+// per call).
 var phaseCtx = func() [numPhases + 1]context.Context {
-	names := [numPhases]string{"alloc", "steady-price", "merge", "daemon"}
 	var out [numPhases + 1]context.Context
 	base := context.Background()
-	for i, n := range names {
+	for i, n := range phaseNames {
 		out[i] = pprof.WithLabels(base, pprof.Labels("lpnuma_phase", n))
 	}
-	out[numPhases] = base
+	out[phaseIdle] = base
 	return out
 }()
 
 // SetPhaseTracking turns process-wide per-phase wall accumulation on or
 // off. Enabling does not reset previous totals; call ResetPhaseWall to
 // start a fresh measurement window.
-func SetPhaseTracking(on bool) { phaseTrackOn.Store(on) }
+func SetPhaseTracking(on bool) {
+	if on {
+		phaseTrackGen.CompareAndSwap(0, phaseTrackSeq.Add(1))
+	} else {
+		phaseTrackGen.Store(0)
+	}
+}
 
-// SetPhaseLabels turns pprof phase labels on or off.
+// SetPhaseLabels turns pprof phase labels on or off: each boundary
+// tags the engine's goroutine with lpnuma_phase set to the opened
+// phase's name (phaseNames), and pricing workers inherit the tag.
 func SetPhaseLabels(on bool) { phaseLabelOn.Store(on) }
 
 // ResetPhaseWall zeroes the accumulated per-phase totals.
@@ -81,38 +117,45 @@ func ResetPhaseWall() {
 
 // PhaseWallSnapshot returns the accumulated per-phase wall seconds.
 func PhaseWallSnapshot() PhaseWall {
+	s := func(p int) float64 { return float64(phaseWallNS[p].Load()) / 1e9 }
 	return PhaseWall{
-		AllocSeconds:  float64(phaseWallNS[phaseAlloc].Load()) / 1e9,
-		PriceSeconds:  float64(phaseWallNS[phasePrice].Load()) / 1e9,
-		MergeSeconds:  float64(phaseWallNS[phaseMerge].Load()) / 1e9,
-		DaemonSeconds: float64(phaseWallNS[phaseDaemon].Load()) / 1e9,
+		AllocSeconds:    s(phaseAlloc),
+		PriceSeconds:    s(phasePrice),
+		MergeSeconds:    s(phaseMerge),
+		DaemonSeconds:   s(phaseDaemon),
+		SetupSeconds:    s(phaseSetup),
+		EventsSeconds:   s(phaseEvents),
+		SnapshotSeconds: s(phaseSnapshot),
+		CensusSeconds:   s(phaseCensus),
+		EndEpochSeconds: s(phaseEndEpoch),
+		FinalizeSeconds: s(phaseFinalize),
 	}
 }
 
-// phaseEnter marks the start of phase p on the calling goroutine: the
-// pprof label switches immediately, and the returned timestamp is
-// non-zero only when tracking is on. Both switches off: two predictable
-// branches, no time syscall, no label write.
-func phaseEnter(p int) time.Time {
+// phaseClock is one engine's phase timer: the open phase, and when and
+// under which tracking generation it opened. The zero value is stopped.
+type phaseClock struct {
+	open int
+	gen  uint64
+	t0   time.Time
+}
+
+// lap closes the open phase and opens next (phaseIdle stops the clock).
+// The pprof label switches at once; with tracking on, the closed
+// phase's wall time goes to its slot. Both switches off: two atomic
+// loads, no time syscall, no label write.
+func (c *phaseClock) lap(next int) {
 	if phaseLabelOn.Load() {
-		pprof.SetGoroutineLabels(phaseCtx[p])
+		pprof.SetGoroutineLabels(phaseCtx[next])
 	}
-	if !phaseTrackOn.Load() {
-		return time.Time{}
+	gen := phaseTrackGen.Load()
+	if gen == 0 {
+		return
 	}
 	//lpnuma:wallclock-ok opt-in phase diagnostics: host time is the measurement, never a simulation input
-	return time.Now()
-}
-
-// phaseExit closes phase p: restores the unlabeled context and, when
-// phaseEnter returned a live timestamp, adds the elapsed wall time to
-// the process-wide totals.
-func phaseExit(p int, t0 time.Time) {
-	if phaseLabelOn.Load() {
-		pprof.SetGoroutineLabels(phaseCtx[numPhases])
+	now := time.Now()
+	if c.gen == gen && c.open != phaseIdle {
+		phaseWallNS[c.open].Add(now.Sub(c.t0).Nanoseconds())
 	}
-	if !t0.IsZero() {
-		//lpnuma:wallclock-ok opt-in phase diagnostics, same measurement as phaseEnter
-		phaseWallNS[p].Add(time.Since(t0).Nanoseconds())
-	}
+	c.open, c.gen, c.t0 = next, gen, now
 }

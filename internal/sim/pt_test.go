@@ -18,7 +18,8 @@ func (p pt4K) Setup(env *Env) {
 		env.Space.PTReplicas = env.Machine.Nodes
 	}
 }
-func (pt4K) Tick(*Env, float64) float64 { return 0 }
+func (pt4K) Tick(*Env, float64) float64        { return 0 }
+func (pt4K) NextDaemonDue(now float64) float64 { return now }
 
 // TestPTPricingChargesRemoteWalks: under location-aware pricing, walks
 // to first-touch page tables on another node cost extra cycles, so the

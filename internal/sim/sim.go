@@ -90,8 +90,8 @@ type Config struct {
 	Seed uint64
 
 	// Reference runs the engine's reference paths instead of its
-	// optimized ones (DESIGN.md §4.10–4.11): every analytic geometry,
-	// contention and merge memo rebuilds each epoch, the allocation
+	// optimized ones (DESIGN.md §4.10–4.11): every analytic geometry
+	// and contention memo rebuilds each epoch, the allocation
 	// phase faults every page individually through vm.Access instead of
 	// committing batched spans, and policy pipelines run due-gated hooks
 	// even when their gate reports no pending work. Each optimization
@@ -147,19 +147,15 @@ type OS interface {
 	// daemons at their own intervals and return overhead cycles, which
 	// the engine steals from application budgets in the next epoch.
 	Tick(env *Env, now float64) float64
-}
-
-// DaemonScheduler is an optional OS extension consumed by the analytic
-// engine's quiescence detection (DESIGN.md §4.10). NextDaemonDue
-// returns the earliest simulated time (seconds) at which a Tick call
-// may perform daemon work — consume telemetry, mutate mappings, or
-// charge overhead cycles; a Tick invoked strictly before that time
-// must be a pure no-op. Implementations must evaluate "due" with
-// exactly the comparison their Tick uses to gate work, so the engine's
-// deferral decision and the policy's firing decision never disagree.
-// Policies that do not implement the interface are treated as always
-// due, which disables quiescent epochs but changes nothing else.
-type DaemonScheduler interface {
+	// NextDaemonDue returns the earliest simulated time (seconds) at
+	// which a Tick call may perform daemon work — consume telemetry,
+	// mutate mappings, or charge overhead cycles; a Tick invoked
+	// strictly before that time must be a pure no-op. The analytic
+	// engine's quiescence detection reads it (DESIGN.md §4.10).
+	// Implementations must evaluate "due" with exactly the comparison
+	// their Tick uses to gate work, so the engine's deferral decision and
+	// the policy's firing decision never disagree; returning now (always
+	// due) disables quiescent epochs but changes nothing else.
 	NextDaemonDue(now float64) float64
 }
 
@@ -430,7 +426,7 @@ type Engine struct {
 	// Incremental pricing state (DESIGN.md §4.10, ModeAnalytic only).
 	// geomGen counts observable changes to the inputs of the per-thread
 	// geometry term: any region's mapping generation, the region count,
-	// or the phase table (events rewrite weights without touching any
+	// or a fired event (events rewrite weights without touching any
 	// mapping). contGen additionally counts changes to the contention
 	// inputs applied on top — the lagged latency matrices and the
 	// per-region churn cost. Per-thread caches compare against these
@@ -440,7 +436,6 @@ type Engine struct {
 	contGen     uint64
 	lastGeomGen uint64
 	snapGen     []uint64 // per-region Gen at the last snapshot scan
-	numPhases   int      // phase-table length at the last snapshot scan
 	assessValid bool
 	assessCache tlb.Assessment
 	prevLat     []float64
@@ -455,6 +450,9 @@ type Engine struct {
 	epochQuiet  bool
 	quietEpochs int
 
+	// clock times the run's phases (phasewall.go).
+	clock phaseClock
+
 	// Reusable epoch scratch.
 	budgets     []float64
 	ts          []threadScratch
@@ -463,7 +461,11 @@ type Engine struct {
 }
 
 // New builds an engine for spec on machine m under policy os.
+// New is the run's setup phase.
 func New(m *topo.Machine, spec workloads.Spec, policy OS, cfg Config) (*Engine, error) {
+	var clock phaseClock
+	clock.lap(phaseSetup)
+	defer clock.lap(phaseIdle)
 	phys := mem.NewSystem(m, mem.LatencyParamsFor(m.Name))
 	fabric := interconnect.New(m, interconnect.DefaultParams())
 	space := vm.NewAddrSpace(m, phys, vm.DefaultFaultParams())
@@ -546,19 +548,16 @@ func New(m *topo.Machine, spec workloads.Spec, policy OS, cfg Config) (*Engine, 
 		// page-table aggregates exist exactly when PT pricing is on.
 		for t := range e.ts {
 			g := &threadGeom{
-				key:       invalidMemoKey,
-				appKey:    invalidMemoKey,
-				flushKey:  invalidMemoKey,
-				homeAgg:   make([]float64, e.nodes),
-				homeCnt:   make([]float64, e.nodes),
-				physFlush: make([]float64, e.nodes),
-				thinRate:  make([]float64, len(wl.Regions)),
-				churnW:    make([]float64, len(e.churnRIs)),
+				key:      invalidMemoKey,
+				appKey:   invalidMemoKey,
+				homeAgg:  make([]float64, e.nodes),
+				homeCnt:  make([]float64, e.nodes),
+				thinRate: make([]float64, len(wl.Regions)),
+				churnW:   make([]float64, len(e.churnRIs)),
 			}
 			if e.ptHome != nil {
 				g.wPTHome = make([]float64, e.nodes)
 				g.walkCnt = make([]float64, e.nodes)
-				g.walkFlush = make([]float64, e.nodes)
 			}
 			e.ts[t].geom = g
 		}
@@ -572,7 +571,7 @@ func (e *Engine) Env() *Env { return e.env }
 // QuietEpochs returns how many epochs the incremental analytic engine
 // priced as quiescent — entirely from cached aggregates, with census
 // and IBS thinning deferred (DESIGN.md §4.10). Always zero in
-// ModeSampled and under policies that do not implement DaemonScheduler.
+// ModeSampled and under policies whose daemons are always due.
 // Diagnostics and tests use it to confirm the fast path engaged.
 func (e *Engine) QuietEpochs() int { return e.quietEpochs }
 
@@ -610,6 +609,7 @@ func (e *Engine) RunContext(ctx context.Context) (Result, error) {
 		if cancel != nil {
 			select {
 			case <-cancel:
+				e.clock.lap(phaseIdle)
 				return Result{}, ctx.Err()
 			default:
 			}
@@ -620,6 +620,15 @@ func (e *Engine) RunContext(ctx context.Context) (Result, error) {
 			break
 		}
 	}
+	e.clock.lap(phaseFinalize)
+	res := e.finalize(epoch, timedOut)
+	e.clock.lap(phaseIdle)
+	return res, nil
+}
+
+// finalize is the run's finalize phase: it assembles the Result of a run
+// that ended after epochs epochs.
+func (e *Engine) finalize(epochs int, timedOut bool) Result {
 	runtime := 0.0
 	for t := 0; t < e.threads; t++ {
 		if e.finishTime[t] > runtime {
@@ -627,7 +636,7 @@ func (e *Engine) RunContext(ctx context.Context) (Result, error) {
 		}
 	}
 	if timedOut {
-		runtime = float64(epoch) * epochSeconds
+		runtime = float64(epochs) * epochSeconds
 	}
 	res := Result{
 		Workload:             e.wl.Spec.Name,
@@ -635,7 +644,7 @@ func (e *Engine) RunContext(ctx context.Context) (Result, error) {
 		Machine:              e.machine.Name,
 		RuntimeSeconds:       runtime,
 		TimedOut:             timedOut,
-		Epochs:               epoch,
+		Epochs:               epochs,
 		Counters:             e.counters,
 		LARPct:               e.counters.LARPct(),
 		ImbalancePct:         e.env.Phys.ImbalancePct(),
@@ -654,18 +663,21 @@ func (e *Engine) RunContext(ctx context.Context) (Result, error) {
 	res.IBSSamplesTaken = taken
 	n4, n2, n1 := e.env.Space.FaultCounts()
 	res.FaultCounts = [3]uint64{n4, n2, n1}
-	return res, nil
+	return res
 }
 
-// snapshotEpoch refreshes the per-epoch read-only state every pricing
-// worker shares: page census, cache profiles, per-region churn cost, and
-// the flat DRAM latency table (all lagged values, constant until the
-// next EndEpoch). In ModeAnalytic the per-region census and cache
-// profile are functions of the mapping alone, so they are recomputed
-// only for regions whose vm generation moved since the last scan; a
-// moved region (or a changed phase table) advances the geometry
-// generation and invalidates the cached TLB assessment.
-func (e *Engine) snapshotEpoch() {
+// snapshot is the epoch's snapshot phase: it refreshes the read-only
+// state every pricing worker shares — page census, cache profiles,
+// per-region churn cost, and the flat DRAM latency table (all lagged
+// values, constant until the next EndEpoch) — and returns the epoch's
+// TLB assessment (identical across threads by symmetry). In ModeAnalytic
+// the per-region census and cache profile are functions of the mapping
+// alone, so they are recomputed only for regions whose vm generation
+// moved since the last scan; a moved region or a fired event advances
+// the geometry generation and invalidates the cached assessment, which
+// is otherwise reused (it is a function of the phase weights and the
+// page census only).
+func (e *Engine) snapshot(fired bool) tlb.Assessment {
 	incr := e.snapGen != nil // ModeAnalytic
 	moved := false
 	for ri, br := range e.wl.Regions {
@@ -685,20 +697,12 @@ func (e *Engine) snapshotEpoch() {
 		}
 		e.churnPer[ri] = e.churnCostPerAccess(br)
 	}
-	if incr {
-		// Events rewrite region weights and extend the phase table
-		// without touching any mapping — freeing a never-faulted region
-		// releases nothing and bumps no Gen (the weights.eq identity
-		// cell) — so the phase-table length is the cheap proxy that
-		// catches them.
-		if n := e.wl.NumPhases(); n != e.numPhases {
-			e.numPhases = n
-			moved = true
-		}
-		if moved {
-			e.geomGen++
-			e.assessValid = false
-		}
+	// Events rewrite region weights without touching any mapping —
+	// freeing a never-faulted region releases nothing and bumps no Gen
+	// (the weights.eq identity cell) — so a fired event invalidates too.
+	if incr && (moved || fired) {
+		e.geomGen++
+		e.assessValid = false
 	}
 	e.env.Phys.FillLatencies(e.memLat)
 	e.env.Fabric.FillLatencyMatrix(e.lat)
@@ -723,6 +727,27 @@ func (e *Engine) snapshotEpoch() {
 			row[h] += e.memLat[h]
 		}
 	}
+	if !e.assessValid || e.cfg.Reference || !incr {
+		e.assessCache = e.tlbModel.Assess(e.wl.TLBSegments(e.counts))
+		e.assessValid = true
+	}
+	return e.assessCache
+}
+
+// census is the epoch's census phase (ModeAnalytic, and only when some
+// thread runs steady state): the placement census catches up with every
+// mapping change, and refreshContention decides what pricing may reuse.
+func (e *Engine) census(fired, allocRan bool, nrun int, epochCycles float64) {
+	if nrun == 0 || e.aDist == nil {
+		return
+	}
+	// The census must track every placement change immediately: pricing
+	// even a few epochs of stale placement feeds wrong traffic into the
+	// controller models, and the migration daemons' control loops amplify
+	// the error (tested: a 4-epoch refresh throttle moved imbalance by
+	// >20 points on migration-heavy cells).
+	e.refreshNodeDists()
+	e.refreshContention(fired, allocRan, epochCycles)
 }
 
 // refreshNodeDists updates the analytic placement census for regions
@@ -795,13 +820,8 @@ func (e *Engine) refreshContention(eventsFired, allocsRan bool, epochCycles floa
 	}
 	quiet := !dirty && !eventsFired && !allocsRan
 	if quiet {
-		ds, ok := e.os.(DaemonScheduler)
-		if !ok {
-			quiet = false
-		} else {
-			nowEnd := (e.nowCycles + epochCycles) / e.machine.FreqHz
-			quiet = ds.NextDaemonDue(nowEnd) > nowEnd
-		}
+		nowEnd := (e.nowCycles + epochCycles) / e.machine.FreqHz
+		quiet = e.os.NextDaemonDue(nowEnd) > nowEnd
 	}
 	e.epochQuiet = quiet
 	if quiet {
@@ -868,40 +888,57 @@ func (e *Engine) growRegionState() {
 	}
 }
 
-// runEpoch simulates one epoch; it reports whether the workload finished.
+// runEpoch simulates one epoch as a fixed sequence of phases, each
+// opened by one lap of the engine's phase clock (DESIGN.md §4.2). The
+// values passed along are everything one phase hands a later one. It
+// reports whether the workload finished.
 func (e *Engine) runEpoch(epoch int, epochCycles float64) bool {
-	e.env.Space.BeginEpoch()
-	// Fire any event whose boundary the slowest thread has reached. This
-	// happens serially before the snapshot and the pricing stage, so
-	// every thread prices the post-event workload shape — the settle
-	// clamp guarantees no thread has worked past the boundary.
-	eventsFired := false
-	if e.wl.HasEvents() && e.wl.ApplyReadyEvents(e.minWorkFrac()) > 0 {
-		e.growRegionState()
-		eventsFired = true
-	}
-	// Refresh per-epoch derived state (page census, cache profiles, TLB
-	// assessment — identical across threads by symmetry). The assessment
-	// is a function of the phase weights and the page census only, so
-	// ModeAnalytic reuses the previous epoch's until either moved.
-	e.snapshotEpoch()
-	assess := e.assessCache
-	if !e.assessValid || e.cfg.Reference || e.snapGen == nil {
-		assess = e.tlbModel.Assess(e.wl.TLBSegments(0, e.counts))
-		e.assessCache = assess
-		e.assessValid = true
-	}
+	e.clock.lap(phaseEvents)
+	fired := e.fireEvents()
+	e.clock.lap(phaseSnapshot)
+	assess := e.snapshot(fired)
+	e.clock.lap(phaseAlloc)
+	allocRan, nrun := e.allocate(epoch, epochCycles)
+	e.clock.lap(phaseCensus)
+	e.census(fired, allocRan, nrun, epochCycles)
+	e.clock.lap(phasePrice)
+	e.priceAll(epoch, epochCycles, assess, nrun)
+	e.clock.lap(phaseMerge)
+	done := e.merge()
+	e.clock.lap(phaseEndEpoch)
+	e.endEpoch(epochCycles)
+	e.clock.lap(phaseDaemon)
+	e.daemon()
+	return done
+}
 
+// fireEvents is the epoch's events phase: it opens the epoch (the vm's
+// lagged fault-contention roll) and fires every event whose boundary the
+// slowest thread has reached, reporting whether any did. Events fire
+// serially before the snapshot and the pricing stage, so every thread
+// prices the post-event workload shape — the settle clamp guarantees no
+// thread has worked past the boundary.
+func (e *Engine) fireEvents() bool {
+	e.env.Space.BeginEpoch()
+	if !e.wl.HasEvents() || e.wl.ApplyReadyEvents(e.minWorkFrac()) == 0 {
+		return false
+	}
+	e.growRegionState()
+	return true
+}
+
+// allocate is the epoch's alloc phase: it grants each thread its epoch
+// budget (less the cycles it owes), runs the allocation rounds, and at
+// the initialization barrier marks the threads that run steady state
+// this epoch. It reports whether any thread ran an allocation round and
+// how many threads are runnable.
+func (e *Engine) allocate(epoch int, epochCycles float64) (allocRan bool, nrun int) {
 	budgets := e.budgets
 	for t := range budgets {
 		budgets[t] = epochCycles - e.stolen[t]
 		e.stolen[t] = 0
 	}
-
-	pt := phaseEnter(phaseAlloc)
-	allocsRan := e.runAllocRounds(epoch, budgets)
-	phaseExit(phaseAlloc, pt)
-
+	allocRan = e.runAllocRounds(epoch, budgets)
 	// Initialization barrier: steady-state work starts only once every
 	// thread has finished its allocation phase, as in the real programs.
 	barrier := e.wl.AllocAllDone()
@@ -912,63 +949,51 @@ func (e *Engine) runEpoch(epoch int, epochCycles float64) bool {
 		e.env.Space.ResetAccessCounters()
 		e.resetAtBarrier = true
 	}
-	done := true
-	nrun := 0
 	for t := 0; t < e.threads; t++ {
 		e.ts[t].ran = false
-		if e.finishTime[t] >= 0 {
-			continue
-		}
-		if !barrier {
-			done = false
+		if e.finishTime[t] >= 0 || !barrier {
 			continue
 		}
 		if budgets[t] <= 0 {
 			e.stolen[t] = -budgets[t]
-			done = false
 			continue
 		}
 		e.ts[t].ran = true
 		nrun++
 	}
-	if nrun > 0 {
-		if e.aDist != nil {
-			// The census must track every placement change immediately:
-			// pricing even a few epochs of stale placement feeds wrong
-			// traffic into the controller models, and the migration
-			// daemons' control loops amplify the error (tested: a
-			// 4-epoch refresh throttle moved imbalance by >20 points on
-			// migration-heavy cells).
-			e.refreshNodeDists()
-			e.refreshContention(eventsFired, allocsRan, epochCycles)
-		}
-		// Stage 1 (parallel): price every runnable thread's epoch against
-		// the shared read-only snapshot, into per-thread scratch.
-		pt = phaseEnter(phasePrice)
-		e.priceAll(epoch, epochCycles, assess, nrun)
-		phaseExit(phasePrice, pt)
-		// Stage 2 (serial, in thread order): replay the deferred
-		// mutations into the shared models. The fixed order makes the
-		// result independent of how stage 1 was scheduled.
-		pt = phaseEnter(phaseMerge)
-		for t := 0; t < e.threads; t++ {
-			if !e.ts[t].ran {
-				continue
-			}
+	return allocRan, nrun
+}
+
+// merge is the epoch's merge phase (stage 2, serial, in thread order):
+// it replays every priced thread's deferred mutations into the shared
+// models. The fixed order makes the result independent of how stage 1
+// was scheduled. It reports whether every thread has finished.
+func (e *Engine) merge() bool {
+	done := true
+	for t := 0; t < e.threads; t++ {
+		if e.ts[t].ran {
 			e.mergeSteady(t)
-			if !e.ts[t].finished {
-				done = false
-			}
 		}
-		phaseExit(phaseMerge, pt)
+		if e.finishTime[t] < 0 {
+			done = false
+		}
 	}
+	return done
+}
+
+// endEpoch is the end-epoch phase: the controller and fabric models
+// turn the epoch's traffic into next epoch's latencies (§4.1), and the
+// simulated clock advances.
+func (e *Engine) endEpoch(epochCycles float64) {
 	e.env.Phys.EndEpoch(epochCycles)
 	e.env.Fabric.EndEpoch(epochCycles)
 	e.nowCycles += epochCycles
-	now := e.nowCycles / e.machine.FreqHz
-	pt = phaseEnter(phaseDaemon)
-	oh := e.os.Tick(e.env, now)
-	phaseExit(phaseDaemon, pt)
+}
+
+// daemon is the daemon phase: the policy ticks, and its overhead cycles
+// are stolen evenly from every thread's next budget.
+func (e *Engine) daemon() {
+	oh := e.os.Tick(e.env, e.nowCycles/e.machine.FreqHz)
 	if oh > 0 {
 		e.overhead += oh
 		per := oh / float64(e.threads)
@@ -976,7 +1001,6 @@ func (e *Engine) runEpoch(epoch int, epochCycles float64) bool {
 			e.stolen[t] += per
 		}
 	}
-	return done
 }
 
 // steadyWorkers decides how many goroutines stage 1 may use and borrows
@@ -1004,9 +1028,14 @@ func (e *Engine) steadyWorkers(nrun int) (workers, borrowed int) {
 	return limit, 0
 }
 
-// priceAll runs the pricing stage for every runnable thread, fanning out
-// over a bounded worker set when more than one worker is available.
+// priceAll is the epoch's price phase (stage 1): it prices every one of
+// the nrun runnable threads against the shared read-only snapshot, into
+// per-thread scratch, fanning out over a bounded worker set when more
+// than one worker is available.
 func (e *Engine) priceAll(epoch int, epochCycles float64, assess tlb.Assessment, nrun int) {
+	if nrun == 0 {
+		return
+	}
 	workers, borrowed := e.steadyWorkers(nrun)
 	defer func() {
 		if borrowed > 0 {
@@ -1350,52 +1379,6 @@ func (e *Engine) mergeSteady(t int) {
 	}
 	scale := s.scale
 	src := e.machine.NodeOf(core)
-	if g := s.geom; g != nil && !e.cfg.Reference {
-		// Incremental merge accounting (DESIGN.md §4.11): the scaled flush
-		// products are keyed on (appKey, scale) — in a converged stretch
-		// both are unchanged and the thread replays its memoized delta.
-		// The skip test stays on the unscaled counts, exactly like the
-		// recompute path below.
-		if g.appKey != g.flushKey || scale != g.flushScale {
-			for h, cnt := range s.homeCnt {
-				g.physFlush[h] = cnt * scale
-			}
-			for h, cnt := range s.walkCnt {
-				g.walkFlush[h] = cnt * scale
-			}
-			g.localX, g.remoteX = s.local*scale, s.remote*scale
-			g.dataL2X, g.ptwL2X = s.dataL2*scale, s.ptwL2*scale
-			g.tlbMissX, g.churnX = s.tlbMiss*scale, s.churn*scale
-			g.flushKey, g.flushScale = g.appKey, scale
-		}
-		for h, cnt := range s.homeCnt {
-			if cnt == 0 {
-				continue
-			}
-			home := topo.NodeID(h)
-			e.env.Phys.Record(home, g.physFlush[h])
-			e.env.Fabric.Record(src, home, g.physFlush[h])
-		}
-		for h, cnt := range s.walkCnt {
-			if cnt == 0 {
-				continue
-			}
-			home := topo.NodeID(h)
-			e.env.Phys.Record(home, g.walkFlush[h])
-			e.env.Fabric.Record(src, home, g.walkFlush[h])
-		}
-		for i := range s.samples {
-			e.env.Sampler.RecordScaled(&s.samples[i], scale)
-		}
-		e.counters.Accesses += s.realAccesses
-		e.counters.LocalDRAM += g.localX
-		e.counters.RemoteDRAM += g.remoteX
-		e.counters.DataL2Misses += g.dataL2X
-		e.counters.PTWL2Misses += g.ptwL2X
-		e.counters.TLBMisses += g.tlbMissX
-		e.churnFault[core] += g.churnX
-		return
-	}
 	for h, cnt := range s.homeCnt {
 		if cnt == 0 {
 			continue

@@ -31,9 +31,10 @@ func tinySpec() workloads.Spec {
 // linux4K is a minimal policy: no THP, no daemons.
 type linux4K struct{}
 
-func (linux4K) Name() string               { return "Linux4K" }
-func (linux4K) Setup(*Env)                 {}
-func (linux4K) Tick(*Env, float64) float64 { return 0 }
+func (linux4K) Name() string                      { return "Linux4K" }
+func (linux4K) Setup(*Env)                        {}
+func (linux4K) Tick(*Env, float64) float64        { return 0 }
+func (linux4K) NextDaemonDue(now float64) float64 { return now }
 
 // thpOn attaches an enabled THP subsystem.
 type thpOn struct{ t *thp.THP }
@@ -44,6 +45,7 @@ func (p *thpOn) Setup(env *Env) {
 	env.THP = p.t
 }
 func (p *thpOn) Tick(env *Env, now float64) float64 { return p.t.RunPromotionPass() }
+func (*thpOn) NextDaemonDue(now float64) float64    { return now }
 
 func run(t *testing.T, policy OS, seed uint64) Result {
 	t.Helper()

@@ -75,15 +75,13 @@ type Instance struct {
 	// engine's placement-census refreshes stop allocating after warmup.
 	distOwn, distHalo, distAvg []float64
 
-	// pendingEvents is a min-heap of indices into Spec.Events keyed by
-	// AtWorkFrac, drained in work-progress order by ApplyReadyEvents.
-	// Validation guarantees ascending boundaries, so pops come out in
-	// declaration order; the heap keeps the drain robust regardless.
-	pendingEvents []int
-	// appliedEvents counts events already applied; PhaseAt only advances
-	// a thread past an event boundary once the mutation has happened, so
-	// threads clamped at the boundary stall (a barrier wait) rather than
-	// racing ahead under the pre-event weight tables.
+	// appliedEvents counts events already applied and is the timeline's
+	// cursor: validation forces ascending boundaries, so Spec.Events
+	// fires in declaration order and Spec.Events[appliedEvents] is the
+	// next pending event. PhaseAt only advances a thread past an event
+	// boundary once the mutation has happened, so threads clamped at the
+	// boundary stall (a barrier wait) rather than racing ahead under the
+	// pre-event weight tables.
 	appliedEvents int
 }
 
@@ -129,9 +127,6 @@ func Build(spec Spec, space *vm.AddrSpace, m *topo.Machine) (*Instance, error) {
 	in.streamPos = make([][]uint64, threads)
 	for t := range in.streamPos {
 		in.streamPos[t] = make([]uint64, len(in.Regions))
-	}
-	for i := range spec.Events {
-		in.pushEvent(i)
 	}
 	return in, nil
 }
@@ -537,7 +532,7 @@ type PageCounts struct {
 // TLBSegments converts one thread's view of the address space into TLB
 // model segments, splitting hot subsets so the TLB fill model can
 // prioritize them.
-func (in *Instance) TLBSegments(t int, counts []PageCounts) []tlb.Segment {
+func (in *Instance) TLBSegments(counts []PageCounts) []tlb.Segment {
 	segs := make([]tlb.Segment, 0, len(in.Regions)*2)
 	for ri, br := range in.Regions {
 		w := br.Spec.Weight
@@ -703,55 +698,10 @@ func (in *Instance) HasEvents() bool { return len(in.Spec.Events) > 0 }
 // NextEventBoundary returns the work fraction of the earliest pending
 // (not yet applied) event, or 0 when the timeline is drained.
 func (in *Instance) NextEventBoundary() float64 {
-	if len(in.pendingEvents) == 0 {
+	if in.appliedEvents == len(in.Spec.Events) {
 		return 0
 	}
-	return in.Spec.Events[in.pendingEvents[0]].AtWorkFrac
-}
-
-// eventLess orders pending events by firing boundary.
-func (in *Instance) eventLess(a, b int) bool {
-	return in.Spec.Events[a].AtWorkFrac < in.Spec.Events[b].AtWorkFrac
-}
-
-// pushEvent inserts event index i into the pending min-heap.
-func (in *Instance) pushEvent(i int) {
-	h := append(in.pendingEvents, i)
-	c := len(h) - 1
-	for c > 0 {
-		p := (c - 1) / 2
-		if !in.eventLess(h[c], h[p]) {
-			break
-		}
-		h[c], h[p] = h[p], h[c]
-		c = p
-	}
-	in.pendingEvents = h
-}
-
-// popEvent removes and returns the earliest pending event index.
-func (in *Instance) popEvent() int {
-	h := in.pendingEvents
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	for p := 0; ; {
-		c := 2*p + 1
-		if c >= len(h) {
-			break
-		}
-		if c+1 < len(h) && in.eventLess(h[c+1], h[c]) {
-			c++
-		}
-		if !in.eventLess(h[c], h[p]) {
-			break
-		}
-		h[p], h[c] = h[c], h[p]
-		p = c
-	}
-	in.pendingEvents = h
-	return top
+	return in.Spec.Events[in.appliedEvents].AtWorkFrac
 }
 
 // eventEps absorbs the floating-point slack between a thread's clamped
@@ -766,13 +716,12 @@ const eventEps = 1e-9
 // applied so the engine knows to grow its per-region state.
 func (in *Instance) ApplyReadyEvents(minWorkFrac float64) int {
 	applied := 0
-	for len(in.pendingEvents) > 0 {
-		i := in.pendingEvents[0]
-		if minWorkFrac+eventEps < in.Spec.Events[i].AtWorkFrac {
+	for in.appliedEvents < len(in.Spec.Events) {
+		ev := in.Spec.Events[in.appliedEvents]
+		if minWorkFrac+eventEps < ev.AtWorkFrac {
 			break
 		}
-		in.popEvent()
-		in.applyEvent(in.Spec.Events[i])
+		in.applyEvent(ev)
 		in.appliedEvents++
 		applied++
 	}

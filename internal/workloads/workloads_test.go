@@ -317,8 +317,8 @@ func TestTLBSegmentsFollowMappingGranularity(t *testing.T) {
 			Loc: cache.RandomUniform, Sharing: SharedAll, Init: InitStriped}},
 		WorkPerThread: 1000, MLPOverlap: 0.5,
 	})
-	small := in.TLBSegments(0, []PageCounts{{N4K: 16384}})
-	large := in.TLBSegments(0, []PageCounts{{N2M: 32}})
+	small := in.TLBSegments([]PageCounts{{N4K: 16384}})
+	large := in.TLBSegments([]PageCounts{{N2M: 32}})
 	if len(small) != 1 || len(large) != 1 {
 		t.Fatalf("segments: %d and %d", len(small), len(large))
 	}
@@ -372,7 +372,7 @@ func TestTLBSegmentsHotFirstAttribution(t *testing.T) {
 	})
 	// Census: ≈3.2 MB (the hot set) mapped 4K, the rest 2M.
 	counts := []PageCounts{{N4K: 800, N2M: 30}}
-	segs := in.TLBSegments(0, counts)
+	segs := in.TLBSegments(counts)
 	// The hot access weight (90%) must be attributed to the 4K-mapped
 	// bytes, because policies split the hot pages first.
 	var w4k, sum float64

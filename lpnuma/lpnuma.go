@@ -115,7 +115,8 @@ func BenchAnalyticEpoch(machineName, workload, policyName string, cfg Config, re
 	return eng.BenchAnalyticEpoch(reps)
 }
 
-// PhaseWall is the cumulative host wall time per epoch phase; see
+// PhaseWall is the cumulative host wall time per run phase: setup, the
+// eight epoch phases and finalize, which together tile every run; see
 // sim.PhaseWall.
 type PhaseWall = sim.PhaseWall
 
@@ -123,9 +124,10 @@ type PhaseWall = sim.PhaseWall
 // off (lpbench enables it for the sim.*_s phase breakdown it reports).
 func SetPhaseTracking(on bool) { sim.SetPhaseTracking(on) }
 
-// SetPhaseLabels turns pprof goroutine labels at epoch-phase boundaries
+// SetPhaseLabels turns pprof goroutine labels at run-phase boundaries
 // on or off (the -cpuprofile flag enables them, so profiles can be
-// sliced with -tagfocus lpnuma_phase=...).
+// sliced with -tagfocus lpnuma_phase=setup|events|snapshot|alloc|census|
+// steady-price|merge|end-epoch|daemon|finalize).
 func SetPhaseLabels(on bool) { sim.SetPhaseLabels(on) }
 
 // ResetPhaseWall zeroes the per-phase wall totals.
