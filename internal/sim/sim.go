@@ -24,9 +24,6 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/cache"
 	"repro/internal/ibs"
@@ -626,268 +623,6 @@ func (e *Engine) RunContext(ctx context.Context) (Result, error) {
 	return res, nil
 }
 
-// finalize is the run's finalize phase: it assembles the Result of a run
-// that ended after epochs epochs.
-func (e *Engine) finalize(epochs int, timedOut bool) Result {
-	runtime := 0.0
-	for t := 0; t < e.threads; t++ {
-		if e.finishTime[t] > runtime {
-			runtime = e.finishTime[t]
-		}
-	}
-	if timedOut {
-		runtime = float64(epochs) * epochSeconds
-	}
-	res := Result{
-		Workload:             e.wl.Spec.Name,
-		Policy:               e.os.Name(),
-		Machine:              e.machine.Name,
-		RuntimeSeconds:       runtime,
-		TimedOut:             timedOut,
-		Epochs:               epochs,
-		Counters:             e.counters,
-		LARPct:               e.counters.LARPct(),
-		ImbalancePct:         e.env.Phys.ImbalancePct(),
-		PTWSharePct:          e.counters.PTWL2MissSharePct(),
-		PageMetrics:          perf.ComputePageMetrics(e.env.Space),
-		DaemonOverheadCycles: e.overhead,
-	}
-	fc := e.env.Space.FaultCyclesAll()
-	for c := range fc {
-		fc[c] += e.churnFault[c]
-	}
-	runtimeCycles := runtime * e.machine.FreqHz
-	res.MaxFaultSharePct = perf.MaxFaultSharePct(fc, runtimeCycles)
-	res.MaxCoreFaultSeconds = stats.Max(fc) / e.machine.FreqHz
-	taken, _ := e.env.Sampler.Stats()
-	res.IBSSamplesTaken = taken
-	n4, n2, n1 := e.env.Space.FaultCounts()
-	res.FaultCounts = [3]uint64{n4, n2, n1}
-	return res
-}
-
-// snapshot is the epoch's snapshot phase: it refreshes the read-only
-// state every pricing worker shares — page census, cache profiles,
-// per-region churn cost, and the flat DRAM latency table (all lagged
-// values, constant until the next EndEpoch) — and returns the epoch's
-// TLB assessment (identical across threads by symmetry). In ModeAnalytic
-// the per-region census and cache profile are functions of the mapping
-// alone, so they are recomputed only for regions whose vm generation
-// moved since the last scan; a moved region or a fired event advances
-// the geometry generation and invalidates the cached assessment, which
-// is otherwise reused (it is a function of the phase weights and the
-// page census only).
-func (e *Engine) snapshot(fired bool) tlb.Assessment {
-	incr := e.snapGen != nil // ModeAnalytic
-	moved := false
-	for ri, br := range e.wl.Regions {
-		stale := true
-		if incr {
-			if g := br.VM.Gen(); g != e.snapGen[ri] {
-				e.snapGen[ri] = g
-				moved = true
-			} else if !e.cfg.Reference {
-				stale = false
-			}
-		}
-		if stale {
-			n4, n2, n1 := br.VM.MappedPages()
-			e.counts[ri] = workloads.PageCounts{N4K: n4, N2M: n2, N1G: n1}
-			e.profiles[ri] = e.wl.CacheProfile(ri, e.hier)
-		}
-		e.churnPer[ri] = e.churnCostPerAccess(br)
-	}
-	// Events rewrite region weights without touching any mapping —
-	// freeing a never-faulted region releases nothing and bumps no Gen
-	// (the weights.eq identity cell) — so a fired event invalidates too.
-	if incr && (moved || fired) {
-		e.geomGen++
-		e.assessValid = false
-	}
-	e.env.Phys.FillLatencies(e.memLat)
-	e.env.Fabric.FillLatencyMatrix(e.lat)
-	if e.env.PageTables != nil {
-		// Fabric-only copy for walk surcharges (a remote PTE fetch pays
-		// the interconnect hop; its DRAM service time is already in the
-		// assessment's WalkCycles), plus each region's PT home.
-		copy(e.fabLat, e.lat)
-		for ri, br := range e.wl.Regions {
-			e.ptHome[ri] = -1
-			if e.env.PageTables.Replicated {
-				continue
-			}
-			if node, ok := br.VM.PTHome(); ok {
-				e.ptHome[ri] = int32(node)
-			}
-		}
-	}
-	for s := 0; s < e.nodes; s++ {
-		row := e.lat[s*e.nodes : (s+1)*e.nodes]
-		for h := range row {
-			row[h] += e.memLat[h]
-		}
-	}
-	if !e.assessValid || e.cfg.Reference || !incr {
-		e.assessCache = e.tlbModel.Assess(e.wl.TLBSegments(e.counts))
-		e.assessValid = true
-	}
-	return e.assessCache
-}
-
-// census is the epoch's census phase (ModeAnalytic, and only when some
-// thread runs steady state): the placement census catches up with every
-// mapping change, and refreshContention decides what pricing may reuse.
-func (e *Engine) census(fired, allocRan bool, nrun int, epochCycles float64) {
-	if nrun == 0 || e.aDist == nil {
-		return
-	}
-	// The census must track every placement change immediately: pricing
-	// even a few epochs of stale placement feeds wrong traffic into the
-	// controller models, and the migration daemons' control loops amplify
-	// the error (tested: a 4-epoch refresh throttle moved imbalance by
-	// >20 points on migration-heavy cells).
-	e.refreshNodeDists()
-	e.refreshContention(fired, allocRan, epochCycles)
-}
-
-// refreshNodeDists updates the analytic placement census for regions
-// whose mapping generation moved (faults, migrations, splits,
-// promotions) — steady epochs under a quiet policy skip the
-// O(mapped pages) walk entirely. It must run after the epoch's
-// allocation rounds so the first steady epoch prices the post-barrier
-// placement, exactly like the sampled loop's page-table lookups.
-func (e *Engine) refreshNodeDists() {
-	moved := false
-	for ri, br := range e.wl.Regions {
-		if g := br.VM.Gen(); g != e.aDistGen[ri] {
-			e.wl.FillNodeDists(ri, e.nodes, e.aDist[ri])
-			e.aDistGen[ri] = g
-			moved = true
-		}
-	}
-	if moved {
-		// This scan runs after the epoch's allocation rounds, so it
-		// catches mutations the pre-alloc snapshot scan could not see.
-		e.geomGen++
-	}
-}
-
-// cmpCopy copies src into *dst and reports whether they were already
-// equal. It is the change detector behind contention invalidation: the
-// copy happens unconditionally so *dst always holds the previous
-// epoch's inputs, and it allocates only when src grew (region events).
-func cmpCopy(dst *[]float64, src []float64) bool {
-	if len(*dst) != len(src) {
-		*dst = append((*dst)[:0], src...)
-		return false
-	}
-	d := *dst
-	eq := true
-	for i, v := range src {
-		if d[i] != v {
-			eq = false
-			d[i] = v
-		}
-	}
-	return eq
-}
-
-// refreshContention advances the contention generation when any input
-// of the contention application moved since the previous priced epoch —
-// the geometry generation, the combined controller+fabric latency
-// table, the fabric-only walk table, or the per-region churn cost — and
-// decides epoch quiescence: with no input moved, no event fired, no
-// allocation run, and no policy daemon due at this epoch's tick, every
-// thread's cached aggregates are exact, so pricing reuses them
-// wholesale and defers the census and IBS thinning (DESIGN.md §4.10).
-// The decision reads only serial engine state and never the cached
-// values themselves, so it is identical under Config.Reference — which
-// is what makes forced-recompute runs byte-identical.
-func (e *Engine) refreshContention(eventsFired, allocsRan bool, epochCycles float64) {
-	dirty := e.geomGen != e.lastGeomGen
-	e.lastGeomGen = e.geomGen
-	if !cmpCopy(&e.prevLat, e.lat) {
-		dirty = true
-	}
-	if e.fabLat != nil && !cmpCopy(&e.prevFab, e.fabLat) {
-		dirty = true
-	}
-	if !cmpCopy(&e.prevChurn, e.churnPer) {
-		dirty = true
-	}
-	if dirty {
-		e.contGen++
-	}
-	quiet := !dirty && !eventsFired && !allocsRan
-	if quiet {
-		nowEnd := (e.nowCycles + epochCycles) / e.machine.FreqHz
-		quiet = e.os.NextDaemonDue(nowEnd) > nowEnd
-	}
-	e.epochQuiet = quiet
-	if quiet {
-		e.quietEpochs++
-	}
-}
-
-// minWorkFrac returns the slowest unfinished thread's progress as a
-// fraction of its work target; it is the event timeline's clock.
-func (e *Engine) minWorkFrac() float64 {
-	work := e.wl.Spec.WorkPerThread
-	if e.cfg.WorkScale > 0 {
-		work *= e.cfg.WorkScale
-	}
-	min := 1.0
-	for t := 0; t < e.threads; t++ {
-		if e.finishTime[t] >= 0 {
-			continue
-		}
-		if f := e.progress[t] / work; f < min {
-			min = f
-		}
-	}
-	return min
-}
-
-// growRegionState extends every per-region engine array to the current
-// region count after an Alloc event; it must run before snapshotEpoch,
-// which indexes these arrays for every region.
-func (e *Engine) growRegionState() {
-	n := len(e.wl.Regions)
-	for len(e.profiles) < n {
-		e.profiles = append(e.profiles, cache.LevelProbs{})
-		e.counts = append(e.counts, workloads.PageCounts{})
-		e.churnPer = append(e.churnPer, 0)
-	}
-	if e.aDist != nil {
-		for len(e.aDist) < n {
-			e.aDist = append(e.aDist, make([]float64, e.threads*e.nodes))
-			e.aDistGen = append(e.aDistGen, ^uint64(0))
-			e.snapGen = append(e.snapGen, ^uint64(0)) // sentinel: scans as moved
-		}
-		e.churnRIs = e.churnRIs[:0]
-		for ri, br := range e.wl.Regions {
-			if br.Spec.ChurnPer1K > 0 {
-				e.churnRIs = append(e.churnRIs, int32(ri))
-			}
-		}
-		for t := range e.ts {
-			s := &e.ts[t]
-			for len(s.ibsCarry) < n {
-				s.ibsCarry = append(s.ibsCarry, 0)
-			}
-			for len(s.geom.thinRate) < n {
-				s.geom.thinRate = append(s.geom.thinRate, 0)
-			}
-			s.geom.churnW = resize(s.geom.churnW, len(e.churnRIs))
-		}
-	}
-	if e.ptHome != nil {
-		for len(e.ptHome) < n {
-			e.ptHome = append(e.ptHome, -1)
-		}
-	}
-}
-
 // runEpoch simulates one epoch as a fixed sequence of phases, each
 // opened by one lap of the engine's phase clock (DESIGN.md §4.2). The
 // values passed along are everything one phase hands a later one. It
@@ -910,734 +645,6 @@ func (e *Engine) runEpoch(epoch int, epochCycles float64) bool {
 	e.clock.lap(phaseDaemon)
 	e.daemon()
 	return done
-}
-
-// fireEvents is the epoch's events phase: it opens the epoch (the vm's
-// lagged fault-contention roll) and fires every event whose boundary the
-// slowest thread has reached, reporting whether any did. Events fire
-// serially before the snapshot and the pricing stage, so every thread
-// prices the post-event workload shape — the settle clamp guarantees no
-// thread has worked past the boundary.
-func (e *Engine) fireEvents() bool {
-	e.env.Space.BeginEpoch()
-	if !e.wl.HasEvents() || e.wl.ApplyReadyEvents(e.minWorkFrac()) == 0 {
-		return false
-	}
-	e.growRegionState()
-	return true
-}
-
-// allocate is the epoch's alloc phase: it grants each thread its epoch
-// budget (less the cycles it owes), runs the allocation rounds, and at
-// the initialization barrier marks the threads that run steady state
-// this epoch. It reports whether any thread ran an allocation round and
-// how many threads are runnable.
-func (e *Engine) allocate(epoch int, epochCycles float64) (allocRan bool, nrun int) {
-	budgets := e.budgets
-	for t := range budgets {
-		budgets[t] = epochCycles - e.stolen[t]
-		e.stolen[t] = 0
-	}
-	allocRan = e.runAllocRounds(epoch, budgets)
-	// Initialization barrier: steady-state work starts only once every
-	// thread has finished its allocation phase, as in the real programs.
-	barrier := e.wl.AllocAllDone()
-	if barrier && !e.resetAtBarrier {
-		// Ground-truth page metrics (PAMUP/NHP/PSP) describe steady-state
-		// behaviour; exclude the first-touch pass, whose weight is
-		// inflated by the scaled-down run lengths.
-		e.env.Space.ResetAccessCounters()
-		e.resetAtBarrier = true
-	}
-	for t := 0; t < e.threads; t++ {
-		e.ts[t].ran = false
-		if e.finishTime[t] >= 0 || !barrier {
-			continue
-		}
-		if budgets[t] <= 0 {
-			e.stolen[t] = -budgets[t]
-			continue
-		}
-		e.ts[t].ran = true
-		nrun++
-	}
-	return allocRan, nrun
-}
-
-// merge is the epoch's merge phase (stage 2, serial, in thread order):
-// it replays every priced thread's deferred mutations into the shared
-// models. The fixed order makes the result independent of how stage 1
-// was scheduled. It reports whether every thread has finished.
-func (e *Engine) merge() bool {
-	done := true
-	for t := 0; t < e.threads; t++ {
-		if e.ts[t].ran {
-			e.mergeSteady(t)
-		}
-		if e.finishTime[t] < 0 {
-			done = false
-		}
-	}
-	return done
-}
-
-// endEpoch is the end-epoch phase: the controller and fabric models
-// turn the epoch's traffic into next epoch's latencies (§4.1), and the
-// simulated clock advances.
-func (e *Engine) endEpoch(epochCycles float64) {
-	e.env.Phys.EndEpoch(epochCycles)
-	e.env.Fabric.EndEpoch(epochCycles)
-	e.nowCycles += epochCycles
-}
-
-// daemon is the daemon phase: the policy ticks, and its overhead cycles
-// are stolen evenly from every thread's next budget.
-func (e *Engine) daemon() {
-	oh := e.os.Tick(e.env, e.nowCycles/e.machine.FreqHz)
-	if oh > 0 {
-		e.overhead += oh
-		per := oh / float64(e.threads)
-		for t := range e.stolen {
-			e.stolen[t] += per
-		}
-	}
-}
-
-// steadyWorkers decides how many goroutines stage 1 may use and borrows
-// any extra tokens from the shared pool; the caller must return borrowed
-// tokens with ReleaseN. The worker count can never change results, only
-// wall-clock time.
-func (e *Engine) steadyWorkers(nrun int) (workers, borrowed int) {
-	limit := runtime.GOMAXPROCS(0)
-	if limit > nrun {
-		limit = nrun
-	}
-	if limit < 1 {
-		limit = 1
-	}
-	if e.workers > 0 {
-		return min(e.workers, limit), 0
-	}
-	if e.cfg.Pool != nil {
-		// The engine's own goroutine already holds one token (its
-		// scheduler slot); free tokens become extra workers for this
-		// epoch only.
-		borrowed = e.cfg.Pool.TryAcquire(limit - 1)
-		return 1 + borrowed, borrowed
-	}
-	return limit, 0
-}
-
-// priceAll is the epoch's price phase (stage 1): it prices every one of
-// the nrun runnable threads against the shared read-only snapshot, into
-// per-thread scratch, fanning out over a bounded worker set when more
-// than one worker is available.
-func (e *Engine) priceAll(epoch int, epochCycles float64, assess tlb.Assessment, nrun int) {
-	if nrun == 0 {
-		return
-	}
-	workers, borrowed := e.steadyWorkers(nrun)
-	defer func() {
-		if borrowed > 0 {
-			e.cfg.Pool.ReleaseN(borrowed)
-		}
-	}()
-	if workers <= 1 {
-		for t := 0; t < e.threads; t++ {
-			if e.ts[t].ran {
-				e.priceThread(t, epoch, epochCycles, assess, false)
-			}
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				t := int(next.Add(1)) - 1
-				if t >= e.threads {
-					return
-				}
-				if e.ts[t].ran {
-					e.priceThread(t, epoch, epochCycles, assess, true)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// priceThread prices one thread's steady-state epoch under the
-// configured mode. Both implementations share the contract documented on
-// priceSteady: read only the epoch snapshot and per-thread state, write
-// only per-thread scratch plus commutative access accounting.
-//
-//lpnuma:noalloc steady-state epochs run once per simulated quantum; TestSteadyEpochZeroAlloc and TestAnalyticEpochZeroAlloc enforce this at runtime
-func (e *Engine) priceThread(t, epoch int, epochCycles float64, assess tlb.Assessment, shared bool) {
-	if e.cfg.Mode == ModeAnalytic {
-		e.priceAnalytic(t, epoch, epochCycles, assess, shared)
-		return
-	}
-	e.priceSteady(t, epoch, epochCycles, assess, shared)
-}
-
-// pricingCtx is the per-thread epoch context shared by both pricing
-// stages: the thread's reset scratch plus the read-only row views of the
-// epoch snapshot. Centralizing it in beginPricing keeps the two stages
-// from drifting — a scratch field whose reset appears in only one mode
-// would carry stale state across epochs there.
-type pricingCtx struct {
-	s           *threadScratch
-	core        topo.CoreID
-	src         int
-	startBudget float64
-	// ibsPerAccess is the expected IBS interrupt overhead per access.
-	ibsPerAccess float64
-	work         float64
-	phase        int
-	latRow       []float64
-	fabRow       []float64 // nil unless page-table locality pricing is on
-	mlp          float64
-}
-
-// beginPricing re-seeds thread t's epoch stream, clears its scratch, and
-// assembles the context both pricing implementations consume.
-func (e *Engine) beginPricing(t, epoch int) pricingCtx {
-	s := &e.ts[t]
-	e.rng.SplitInto(uint64(epoch)<<20|uint64(t)<<1|1, &s.rng)
-	for i := range s.homeCnt {
-		s.homeCnt[i] = 0
-	}
-	for i := range s.walkCnt {
-		s.walkCnt[i] = 0
-	}
-	s.samples = s.samples[:0]
-	s.faultLog = s.faultLog[:0]
-	s.acctLog = s.acctLog[:0]
-	s.pendFaults = s.pendFaults[:0]
-	s.markFaulter = false
-	s.flush = false
-	s.finished = false
-
-	spec := e.wl.Spec
-	px := pricingCtx{
-		s:            s,
-		core:         e.core(t),
-		startBudget:  e.budgets[t],
-		ibsPerAccess: e.ibs.Rate * e.ibs.CyclesPerSample,
-		work:         spec.WorkPerThread,
-		mlp:          1 - spec.MLPOverlap,
-	}
-	px.src = int(e.machine.NodeOf(px.core))
-	if e.cfg.WorkScale > 0 {
-		px.work *= e.cfg.WorkScale
-	}
-	px.phase = e.wl.PhaseAt(e.progress[t] / px.work)
-	px.latRow = e.lat[px.src*e.nodes : (px.src+1)*e.nodes]
-	if e.ptHome != nil {
-		px.fabRow = e.fabLat[px.src*e.nodes : (px.src+1)*e.nodes]
-	}
-	return px
-}
-
-// priceSteady prices one thread's steady-state epoch into its scratch.
-// It reads only the epoch snapshot, per-thread state and the (stable
-// between epochs) mapping tables, and writes only per-thread state plus
-// the commutative access accounting (atomically when shared is set) — it
-// must not otherwise touch the shared models, which stage 2 updates in
-// thread order. This loop is the hottest code in the repository and
-// holds the zero-allocation invariant asserted by BenchmarkSteadyEpoch.
-func (e *Engine) priceSteady(t, epoch int, epochCycles float64, assess tlb.Assessment, shared bool) {
-	px := e.beginPricing(t, epoch)
-	s := px.s
-	rng := &s.rng
-	spec := e.wl.Spec
-	core := px.core
-	src := px.src
-	startBudget := px.startBudget
-	ibsPerAccess := px.ibsPerAccess
-	work := px.work
-	phase := px.phase
-	latRow := px.latRow
-	ptHomes := e.ptHome // nil unless page-table locality pricing is on
-	fabRow := px.fabRow
-	mlp := px.mlp
-
-	var sumCost, faultDirect float64
-	var local, remote, dataL2, ptwL2, tlbMiss, churnCycles float64
-	K := e.samples
-	for i := 0; i < K; i++ {
-		acc := e.wl.NextSteadyPhase(t, rng, phase)
-		br := e.wl.Regions[acc.RegionIdx]
-		res, st := br.VM.PeekRecord(acc.Off, t, shared)
-		if st != vm.PeekMapped {
-			var fcost float64
-			res, fcost = s.resolveFault(br.VM, int32(acc.RegionIdx), core, acc.Off)
-			if fcost > 0 {
-				faultDirect += fcost
-				//lpnuma:alloc-ok scratch append; capacity stabilizes after warm-up (TestSteadyEpochZeroAlloc)
-				s.faultLog = append(s.faultLog, accessRec{off: acc.Off, cost: fcost, region: int32(acc.RegionIdx)})
-			}
-			if st == vm.PeekUnmappedChunk {
-				// Accounting granularity is decided by the fault replay.
-				//lpnuma:alloc-ok scratch append; drains each epoch like faultLog
-				s.acctLog = append(s.acctLog, accessRec{off: acc.Off, region: int32(acc.RegionIdx)})
-			}
-		}
-		cost := spec.ExtraCyclesPerAccess + ibsPerAccess
-
-		// Translation.
-		u := rng.Float64()
-		if u >= assess.L1Hit {
-			if u < assess.L1Hit+assess.L2Hit {
-				cost += tlb.L2HitCycles
-			} else {
-				cost += assess.WalkCycles
-				tlbMiss++
-				ptwL2 += assess.WalkL2Misses
-				if ptHomes != nil {
-					// NUMA-aware page tables: the walk's DRAM fetches go
-					// to the accessed region's PT home node, paying the
-					// fabric on top when that node is remote.
-					home := int(ptHomes[acc.RegionIdx])
-					if home < 0 {
-						home = src
-					} else if home != src {
-						cost += assess.RemoteWalkCycles(fabRow[home])
-					}
-					s.walkCnt[home] += assess.WalkDRAMFetches()
-				}
-			}
-		}
-
-		// Allocation churn (expectation per access, hoisted per region).
-		if br.Spec.ChurnPer1K > 0 {
-			cc := e.churnPer[acc.RegionIdx]
-			cost += cc
-			churnCycles += cc
-			s.markFaulter = true
-		}
-
-		// Cache hierarchy.
-		p := e.profiles[acc.RegionIdx]
-		v := rng.Float64()
-		switch {
-		case v < p.L1:
-			cost += e.hier.L1Cycles
-		case v < p.L1+p.L2:
-			cost += e.hier.L2Cycles
-		case v < p.L1+p.L2+p.L3:
-			cost += e.hier.L3Cycles
-			dataL2++
-		default:
-			dataL2++
-			home := int(res.Node)
-			cost += latRow[home] * mlp
-			s.homeCnt[home]++
-			if home == src {
-				local++
-			} else {
-				remote++
-			}
-			if rng.Bernoulli(e.ibs.RecordRate) {
-				//lpnuma:alloc-ok scratch append; capacity stabilizes after warm-up (TestSteadyEpochZeroAlloc)
-				s.samples = append(s.samples, ibs.Sample{
-					Page: res.Page, Off: acc.Off, Thread: int32(t), Core: int32(core),
-					AccessorNode: uint8(src), HomeNode: uint8(res.Node), DRAM: true,
-				})
-			}
-		}
-		sumCost += cost
-	}
-
-	if !e.settleThread(t, phase, startBudget, epochCycles, sumCost/float64(K), faultDirect, work) {
-		return
-	}
-	s.local, s.remote, s.dataL2 = local, remote, dataL2
-	s.ptwL2, s.tlbMiss, s.churn = ptwL2, tlbMiss, churnCycles
-}
-
-// settleThread is the pricing epilogue shared by the sampled and
-// analytic stages: it charges direct fault time, converts the average
-// per-access cost into scaled progress (clamped to the next phase
-// boundary and the thread's remaining work), and fixes the epoch's
-// flush scale. It reports false when fault time alone ate the budget —
-// no scaled progress this epoch; the deferred access log still replays
-// (the faults really happened), only the scaled flush is skipped.
-func (e *Engine) settleThread(t, phase int, startBudget, epochCycles, avg, faultDirect, work float64) bool {
-	s := &e.ts[t]
-	e.budgets[t] -= faultDirect
-	if e.budgets[t] <= 0 {
-		e.stolen[t] = -e.budgets[t]
-		return false
-	}
-	s.flush = true
-	if avg <= 0 {
-		avg = 1
-	}
-	realAccesses := e.budgets[t] / avg
-	remaining := work - e.progress[t]
-	// Do not run past the next phase boundary: the new mix must be
-	// re-priced before it contributes progress.
-	if next := e.wl.NextPhaseBoundary(phase); next > 0 {
-		if left := next*work - e.progress[t]; left > 0 && realAccesses > left {
-			realAccesses = left
-		}
-	}
-	// Event boundaries are global barriers, not per-thread phase edges:
-	// until the mutation has applied (which requires every thread to
-	// arrive), a thread at the boundary performs no work at all — running
-	// ahead would price the pre-event workload shape past the event.
-	if eb := e.wl.NextEventBoundary(); eb > 0 {
-		if left := eb*work - e.progress[t]; realAccesses > left {
-			if left < 0 {
-				left = 0
-			}
-			realAccesses = left
-		}
-	}
-	if realAccesses >= remaining {
-		realAccesses = remaining
-		used := startBudget - e.budgets[t] + realAccesses*avg
-		frac := used / epochCycles
-		if frac > 1 {
-			frac = 1
-		}
-		e.finishTime[t] = e.nowCycles/e.machine.FreqHz + frac*epochSeconds
-		s.finished = true
-	} else {
-		e.budgets[t] = 0
-	}
-	e.progress[t] += realAccesses
-	s.realAccesses = realAccesses
-	s.scale = realAccesses / float64(e.samples)
-	return true
-}
-
-// resolveFault prices a steady-state touch of an unmapped page during
-// the parallel stage: the first touch per page plans a fault
-// (read-only) and remembers it, repeated touches resolve against the
-// thread's own pending faults. Cross-thread racing faults are settled by
-// the merge stage: every racer pays its handler time (they genuinely
-// serialize on the page-table lock), the lowest-indexed thread's
-// placement wins.
-func (s *threadScratch) resolveFault(r *vm.Region, ri int32, core topo.CoreID, off uint64) (vm.AccessResult, float64) {
-	ci := int32(off / uint64(mem.Size2M))
-	sub := int32(off % uint64(mem.Size2M) / uint64(mem.Size4K))
-	for _, pf := range s.pendFaults {
-		if pf.region != ri || pf.ci != ci {
-			continue
-		}
-		if pf.sub < 0 {
-			return vm.AccessResult{Node: pf.node, PageSize: mem.Size2M,
-				Page: vm.PageID{Region: r, Chunk: int(ci), Sub: -1}}, 0
-		}
-		if pf.sub == sub {
-			return vm.AccessResult{Node: pf.node, PageSize: mem.Size4K,
-				Page: vm.PageID{Region: r, Chunk: int(ci), Sub: int(sub)}}, 0
-		}
-	}
-	size, node, cost := r.PlanFault(core, off)
-	psub := sub
-	pageSub := int(sub)
-	if size == mem.Size2M {
-		psub, pageSub = -1, -1
-	}
-	//lpnuma:alloc-ok scratch append; pending faults drain each epoch and capacity stabilizes
-	s.pendFaults = append(s.pendFaults, pendingFault{region: ri, ci: ci, sub: psub, node: node})
-	return vm.AccessResult{Node: node, PageSize: size,
-		Page:    vm.PageID{Region: r, Chunk: int(ci), Sub: pageSub},
-		Faulted: true, FaultCycles: cost}, cost
-}
-
-// mergeSteady replays one priced thread into the shared models: deferred
-// faults in access order, then accounting whose granularity those faults
-// decide, then the scaled DRAM/IBS/counter flush. Called in thread index
-// order, which fixes every floating-point accumulation order and
-// racing-fault outcome regardless of stage 1's scheduling. In fault-free
-// steady epochs (the common case) both replay logs are empty —
-// accounting already happened in the parallel stage.
-func (e *Engine) mergeSteady(t int) {
-	s := &e.ts[t]
-	core := e.core(t)
-	for i := range s.faultLog {
-		rec := &s.faultLog[i]
-		e.wl.Regions[rec.region].VM.ApplyFault(core, rec.off, rec.cost)
-	}
-	for i := range s.acctLog {
-		rec := &s.acctLog[i]
-		e.wl.Regions[rec.region].VM.RecordAccess(rec.off, t)
-	}
-	if s.markFaulter {
-		e.env.Space.MarkFaulter(core)
-	}
-	if !s.flush {
-		return
-	}
-	scale := s.scale
-	src := e.machine.NodeOf(core)
-	for h, cnt := range s.homeCnt {
-		if cnt == 0 {
-			continue
-		}
-		home := topo.NodeID(h)
-		e.env.Phys.Record(home, cnt*scale)
-		e.env.Fabric.Record(src, home, cnt*scale)
-	}
-	for h, cnt := range s.walkCnt {
-		if cnt == 0 {
-			continue
-		}
-		home := topo.NodeID(h)
-		e.env.Phys.Record(home, cnt*scale)
-		e.env.Fabric.Record(src, home, cnt*scale)
-	}
-	for i := range s.samples {
-		e.env.Sampler.RecordScaled(&s.samples[i], scale)
-	}
-	e.counters.Accesses += s.realAccesses
-	e.counters.LocalDRAM += s.local * scale
-	e.counters.RemoteDRAM += s.remote * scale
-	e.counters.DataL2Misses += s.dataL2 * scale
-	e.counters.PTWL2Misses += s.ptwL2 * scale
-	e.counters.TLBMisses += s.tlbMiss * scale
-	e.churnFault[core] += s.churn * scale
-}
-
-// runAllocRounds advances allocation phases in small per-thread time
-// slices so faulting threads genuinely contend. The visit order is
-// re-shuffled every round: which thread wins the race to an unclaimed
-// chunk is timing noise on real hardware, not a function of thread ids.
-// Allocation stays serial: it is the phase whose whole point is
-// cross-thread contention (racing first-touches, page-table locks), so
-// threads are not independent within an epoch here. It reports whether
-// any thread entered an allocation round — allocation mutates mappings
-// and records traffic, so such an epoch can never be quiescent.
-func (e *Engine) runAllocRounds(epoch int, budgets []float64) bool {
-	active := e.allocActive[:0]
-	allocCount := e.allocCount
-	for t := 0; t < e.threads; t++ {
-		allocCount[t] = 0
-		if !e.wl.AllocDone(t) && budgets[t] > 0 {
-			active = append(active, t)
-		}
-	}
-	ran := len(active) > 0
-	round := 0
-	var shuffleRng stats.Rng
-	for len(active) > 0 {
-		e.rng.SplitInto(0xa110c<<20|uint64(epoch)<<8|uint64(round&0xff), &shuffleRng)
-		for i := len(active) - 1; i > 0; i-- {
-			j := shuffleRng.Intn(i + 1)
-			active[i], active[j] = active[j], active[i]
-		}
-		round++
-		next := active[:0]
-		for _, t := range active {
-			src := int(e.machine.NodeOf(e.core(t)))
-			latRow := e.lat[src*e.nodes : (src+1)*e.nodes]
-			if e.cfg.Reference {
-				e.allocSlicePerPage(t, budgets, allocCount, src, latRow)
-			} else {
-				e.allocSliceBatched(t, budgets, allocCount, src, latRow)
-			}
-			if !e.wl.AllocDone(t) && budgets[t] > 0 && allocCount[t] < e.maxAlloc {
-				next = append(next, t)
-			}
-		}
-		active = next
-	}
-	e.allocActive = active[:0]
-	return ran
-}
-
-// allocSlicePerPage runs one thread's allocation time slice touch by
-// touch through vm.Access — the reference path the batched slice must
-// reproduce byte for byte (Config.Reference forces it everywhere).
-func (e *Engine) allocSlicePerPage(t int, budgets []float64, allocCount []int, src int, latRow []float64) {
-	var spent float64
-	for spent < allocRoundCycles {
-		if budgets[t] <= 0 || allocCount[t] >= e.maxAlloc {
-			break
-		}
-		if !e.allocOneSlow(t, budgets, allocCount, &spent, src, latRow) {
-			break
-		}
-	}
-}
-
-// allocOneSlow performs exactly one first-touch through the full
-// vm.Access fault path (with its capacity and fragmentation fallbacks)
-// and charges it with the alloc phase's per-touch arithmetic. It is the
-// whole per-page reference path, and the batched slice's escape hatch
-// for the rare touch whose fault pre-checks fail — precisely the touches
-// whose outcome the fallback chain decides. Reports whether a touch was
-// consumed.
-func (e *Engine) allocOneSlow(t int, budgets []float64, allocCount []int, spent *float64, src int, latRow []float64) bool {
-	touch, ok := e.wl.NextAlloc(t)
-	if !ok {
-		return false
-	}
-	allocCount[t]++
-	res := touch.Region.VM.Access(e.core(t), t, touch.Off)
-	node := res.Node
-	// Initialization is a streaming write pass: one DRAM line
-	// fill per 8 accesses.
-	const dramFrac = 0.125
-	lat := latRow[node]
-	per := 4 + dramFrac*lat*(1-e.wl.Spec.MLPOverlap)
-	cost := res.FaultCycles + touch.Weight*per
-	budgets[t] -= cost
-	*spent += cost
-	reqs := touch.Weight * dramFrac
-	e.env.Phys.Record(node, reqs)
-	e.env.Fabric.Record(topo.NodeID(src), node, reqs)
-	e.counters.Accesses += touch.Weight
-	if int(node) == src {
-		e.counters.LocalDRAM += reqs
-	} else {
-		e.counters.RemoteDRAM += reqs
-	}
-	e.counters.DataL2Misses += reqs
-	return true
-}
-
-// allocSliceBatched runs one thread's allocation time slice span by span
-// (DESIGN.md §4.11): it classifies the maximal leading run of the
-// thread's pending first-touches that resolves to one (chunk, node,
-// size), prices the whole run with one latency lookup, replays the
-// per-touch budget arithmetic to find how many touches the slice
-// affords, and commits them through one vm.ApplyAlloc* operation — one
-// buddy transaction, one accounting pass. Every float accumulator
-// advances by the same per-touch addition sequence as the per-page path,
-// so the result is byte-identical to a Config.Reference run; runs whose
-// fault pre-checks fail fall back to allocOneSlow, which replays the
-// fallback chain exactly.
-func (e *Engine) allocSliceBatched(t int, budgets []float64, allocCount []int, src int, latRow []float64) {
-	var spent float64
-	core := e.core(t)
-	rc := allocRoundCycles
-	maxAlloc := e.maxAlloc
-	for spent < rc {
-		if budgets[t] <= 0 || allocCount[t] >= maxAlloc {
-			break
-		}
-		br, pages, ok := e.wl.PeekAllocRun(t)
-		if !ok {
-			break
-		}
-		run := br.VM.ClassifyAllocRun(core, pages)
-		var faultEach float64
-		switch run.Kind {
-		case vm.AllocRunFault4K:
-			// Cap the run at the node's free 4 KB frames: within that cap
-			// the buddy cannot fail (any free block splits down to 4 KB),
-			// beyond it the per-page fallback chain decides the outcome.
-			free := int(e.env.Phys.FreeBytes(run.Node) / uint64(mem.Size4K))
-			if free <= 0 {
-				e.allocOneSlow(t, budgets, allocCount, &spent, src, latRow)
-				continue
-			}
-			if run.N > free {
-				run.N = free
-			}
-			faultEach = e.env.Space.FaultCostFor(mem.Size4K)
-		case vm.AllocRunFault2M:
-			if !e.env.Phys.FreeContiguous(run.Node, mem.Size2M) {
-				e.allocOneSlow(t, budgets, allocCount, &spent, src, latRow)
-				continue
-			}
-			faultEach = e.env.Space.FaultCostFor(mem.Size2M)
-		}
-		// Initialization is a streaming write pass: one DRAM line
-		// fill per 8 accesses.
-		const dramFrac = 0.125
-		weight := workloads.TouchWeight(br)
-		lat := latRow[run.Node]
-		per := 4 + dramFrac*lat*(1-e.wl.Spec.MLPOverlap)
-		cost := faultEach + weight*per
-		reqs := weight * dramFrac
-		// Replay the per-touch budget arithmetic to find how many of the
-		// run's touches this slice affords. The first iteration's checks
-		// mirror the loop-top checks that already passed.
-		budget := budgets[t]
-		cnt := allocCount[t]
-		k := 0
-		for k < run.N {
-			if spent >= rc || budget <= 0 || cnt >= maxAlloc {
-				break
-			}
-			cnt++
-			budget -= cost
-			spent += cost
-			k++
-		}
-		switch run.Kind {
-		case vm.AllocRunHit:
-			br.VM.ApplyAllocHitRun(t, pages, k)
-		case vm.AllocRunFault4K:
-			br.VM.ApplyAllocFault4KRun(core, t, run.Node, pages, k, faultEach)
-		default: // vm.AllocRunFault2M, k == 1
-			br.VM.ApplyAllocFault2M(core, t, pages[0], run.Node, faultEach)
-		}
-		e.wl.AdvanceAlloc(t, k)
-		budgets[t] = budget
-		allocCount[t] = cnt
-		e.env.Phys.RecordN(run.Node, reqs, k)
-		e.env.Fabric.RecordN(topo.NodeID(src), run.Node, reqs, k)
-		acc := e.counters.Accesses
-		for i := 0; i < k; i++ {
-			acc += weight
-		}
-		e.counters.Accesses = acc
-		if int(run.Node) == src {
-			local := e.counters.LocalDRAM
-			for i := 0; i < k; i++ {
-				local += reqs
-			}
-			e.counters.LocalDRAM = local
-		} else {
-			remote := e.counters.RemoteDRAM
-			for i := 0; i < k; i++ {
-				remote += reqs
-			}
-			e.counters.RemoteDRAM = remote
-		}
-		dl2 := e.counters.DataL2Misses
-		for i := 0; i < k; i++ {
-			dl2 += reqs
-		}
-		e.counters.DataL2Misses = dl2
-	}
-}
-
-// churnCostPerAccess prices allocation churn in expectation: fresh pages
-// are faulted at ChurnPer1K per thousand accesses when running on 4 KB
-// pages; when THP backs the region, ChurnTHPFrac of that memory arrives in
-// 2 MB pages (1/512 the faults, each costing a 2 MB fault).
-func (e *Engine) churnCostPerAccess(br *workloads.BuiltRegion) float64 {
-	rate := br.Spec.ChurnPer1K / 1000
-	if rate <= 0 {
-		return 0
-	}
-	space := e.env.Space
-	huge := false
-	if br.VM.THPEligible && space.AllocSize(br.VM, 0) == mem.Size2M {
-		huge = true
-	}
-	c4 := space.FaultCostFor(mem.Size4K)
-	if !huge {
-		return rate * c4
-	}
-	f := br.Spec.ChurnTHPFrac
-	// 2 MB churn faults are 512× rarer, so the page-table lock is held far
-	// less often: the contention term collapses along with the rate.
-	lockWait := c4 - space.Faults.Base4K
-	c2 := space.Faults.Base2M + lockWait/16
-	return rate * ((1-f)*c4 + f/float64(vm.SubsPerChunk)*c2)
 }
 
 // String renders a short description of the engine setup.
