@@ -40,7 +40,8 @@ func (e *Engine) minWorkFrac() float64 {
 }
 
 // growRegionState extends every per-region engine array to the current
-// region count after an Alloc event; it must run before snapshotEpoch,
+// region count: New sizes them with it, and the events phase calls it
+// again after an Alloc event. It must run before the snapshot phase,
 // which indexes these arrays for every region.
 func (e *Engine) growRegionState() {
 	n := len(e.wl.Regions)

@@ -31,10 +31,7 @@ func (e *Engine) finalize(epochs int, timedOut bool) Result {
 		PageMetrics:          perf.ComputePageMetrics(e.env.Space),
 		DaemonOverheadCycles: e.overhead,
 	}
-	fc := e.env.Space.FaultCyclesAll()
-	for c := range fc {
-		fc[c] += e.churnFault[c]
-	}
+	fc := e.env.Snapshot().FaultCycles
 	runtimeCycles := runtime * e.machine.FreqHz
 	res.MaxFaultSharePct = perf.MaxFaultSharePct(fc, runtimeCycles)
 	res.MaxCoreFaultSeconds = stats.Max(fc) / e.machine.FreqHz

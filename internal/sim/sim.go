@@ -457,8 +457,8 @@ type Engine struct {
 	allocCount  []int
 }
 
-// New builds an engine for spec on machine m under policy os.
-// New is the run's setup phase.
+// New builds an engine for spec on machine m under policy os; it is the
+// run's setup phase.
 func New(m *topo.Machine, spec workloads.Spec, policy OS, cfg Config) (*Engine, error) {
 	var clock phaseClock
 	clock.lap(phaseSetup)
@@ -501,9 +501,6 @@ func New(m *topo.Machine, spec workloads.Spec, policy OS, cfg Config) (*Engine, 
 		e.finishTime[i] = -1
 	}
 	e.churnFault = make([]float64, e.threads)
-	e.profiles = make([]cache.LevelProbs, len(wl.Regions))
-	e.counts = make([]workloads.PageCounts, len(wl.Regions))
-	e.churnPer = make([]float64, len(wl.Regions))
 	e.lat = make([]float64, e.nodes*e.nodes)
 	e.memLat = make([]float64, e.nodes)
 	e.budgets = make([]float64, e.threads)
@@ -514,43 +511,25 @@ func New(m *topo.Machine, spec workloads.Spec, policy OS, cfg Config) (*Engine, 
 		e.ts[t].homeCnt = make([]float64, e.nodes)
 		e.ts[t].samples = make([]ibs.Sample, 0, 64)
 	}
-	if cfg.Mode == ModeAnalytic {
-		e.aDist = make([][]float64, len(wl.Regions))
-		e.aDistGen = make([]uint64, len(wl.Regions))
-		e.snapGen = make([]uint64, len(wl.Regions))
-		for ri := range e.aDist {
-			e.aDist[ri] = make([]float64, e.threads*e.nodes)
-			e.aDistGen[ri] = ^uint64(0) // force the first refresh
-			e.snapGen[ri] = ^uint64(0)
-		}
-		for ri, br := range wl.Regions {
-			if br.Spec.ChurnPer1K > 0 {
-				e.churnRIs = append(e.churnRIs, int32(ri))
-			}
-		}
-		for t := range e.ts {
-			e.ts[t].ibsCarry = make([]float64, len(wl.Regions))
-		}
-	}
 	policy.Setup(e.env)
 	if e.env.PageTables != nil {
 		e.fabLat = make([]float64, e.nodes*e.nodes)
-		e.ptHome = make([]int32, len(wl.Regions))
+		e.ptHome = make([]int32, 0, len(wl.Regions))
 		for t := range e.ts {
 			e.ts[t].walkCnt = make([]float64, e.nodes)
 		}
 	}
 	if cfg.Mode == ModeAnalytic {
-		// The per-thread incremental caches; sized after Setup so the
-		// page-table aggregates exist exactly when PT pricing is on.
+		// The placement census and the per-thread incremental caches,
+		// built after Setup so the page-table aggregates exist exactly
+		// when PT pricing is on; growRegionState sizes them per region.
+		e.aDist = make([][]float64, 0, len(wl.Regions))
 		for t := range e.ts {
 			g := &threadGeom{
-				key:      invalidMemoKey,
-				appKey:   invalidMemoKey,
-				homeAgg:  make([]float64, e.nodes),
-				homeCnt:  make([]float64, e.nodes),
-				thinRate: make([]float64, len(wl.Regions)),
-				churnW:   make([]float64, len(e.churnRIs)),
+				key:     invalidMemoKey,
+				appKey:  invalidMemoKey,
+				homeAgg: make([]float64, e.nodes),
+				homeCnt: make([]float64, e.nodes),
 			}
 			if e.ptHome != nil {
 				g.wPTHome = make([]float64, e.nodes)
@@ -559,6 +538,7 @@ func New(m *topo.Machine, spec workloads.Spec, policy OS, cfg Config) (*Engine, 
 			e.ts[t].geom = g
 		}
 	}
+	e.growRegionState()
 	return e, nil
 }
 
