@@ -529,9 +529,10 @@ type PageCounts struct {
 	N4K, N2M, N1G int
 }
 
-// TLBSegments converts one thread's view of the address space into TLB
+// TLBSegments converts the address space's translation census into TLB
 // model segments, splitting hot subsets so the TLB fill model can
-// prioritize them.
+// prioritize them. Every thread sees the same segments: per-thread
+// reach is folded in through ThreadShare.
 func (in *Instance) TLBSegments(counts []PageCounts) []tlb.Segment {
 	segs := make([]tlb.Segment, 0, len(in.Regions)*2)
 	for ri, br := range in.Regions {
