@@ -89,9 +89,9 @@ func incrementalCells() []identityCell {
 
 // weightOnlyTimeline frees a weight-0 lazy region that was never
 // faulted in while the live regions' weights shift. The free releases
-// nothing, so no Region.Gen moves: only the phase-table length tells
-// the analytic engine that the TLB assessment (a function of the
-// weights) is stale.
+// nothing, so no Region.Gen moves: only the events phase's fired
+// signal tells the analytic engine that the TLB assessment (a function
+// of the weights) is stale.
 func weightOnlyTimeline() workloads.Spec {
 	spec := shiftFreeTimeline()
 	spec.Name = "weights.eq"
