@@ -143,7 +143,8 @@ func BenchmarkAblationIBSBuffers(b *testing.B) {
 	mk := func(nodes int) *ibs.Sampler {
 		s := ibs.NewSampler(ibs.DefaultConfig(), nodes)
 		for i := 0; i < 100000; i++ {
-			s.Record(ibs.Sample{AccessorNode: uint8(i % nodes), DRAM: true, Weight: 1})
+			sm := ibs.Sample{AccessorNode: uint8(i % nodes), DRAM: true}
+			s.RecordScaled(&sm, 1)
 		}
 		return s
 	}

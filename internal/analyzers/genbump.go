@@ -43,16 +43,23 @@ var GenBumpAllowlist = map[string]string{
 var genReceivers = map[string]bool{"Region": true, "AddrSpace": true}
 
 // genObservableFields names the mapping-observable state per struct.
-// Access accounting (accesses, threadMask, subAcc, subMask), fault
-// bookkeeping and the generation counter itself are deliberately
-// absent: they do not change what a placement census would compute.
+// subArrays is a split chunk's 4 KB record, reached through chunk.subs;
+// a write such as c.subs.node[i] = n is charged to the innermost
+// selector, subArrays.node, so the record's fields are listed in their
+// own right. Access accounting (accesses, threadMask, subArrays.acc and
+// mask), fault bookkeeping, the run cache and the generation counter
+// itself are deliberately absent: they do not change what a placement
+// census would compute.
 var genObservableFields = map[string]map[string]bool{
 	"Region": {
 		"chunks": true, "count4K": true, "count2M": true, "count1G": true,
 		"ptHome": true, "ptHomeSet": true, "Start": true, "Bytes": true,
 	},
 	"chunk": {
-		"state": true, "node": true, "giantHead": true, "subNode": true, "mapped": true,
+		"state": true, "node": true, "giantHead": true, "subs": true,
+	},
+	"subArrays": {
+		"node": true, "mapped": true,
 	},
 	"AddrSpace": {
 		"regions": true,
@@ -185,7 +192,7 @@ func namedTypeName(t types.Type) string {
 
 // observableTarget reports whether an assignment target is a
 // mapping-observable field of Region, AddrSpace or chunk, unwrapping
-// indexing and dereferences (c.subNode[sub] = ..., r.chunks[ci].state
+// indexing and dereferences (c.subs.node[sub] = ..., r.chunks[ci].state
 // = ...).
 func observableTarget(pass *analysis.Pass, e ast.Expr) (string, bool) {
 	return fieldTarget(pass, e, genObservableFields)

@@ -4,13 +4,19 @@
 package vm
 
 type chunk struct {
-	state   int
-	node    int
-	subNode []int
-	mapped  bool
+	state int
+	node  int
+	subs  *subArrays
 }
 
-func (c *chunk) mapSub(sub, node int) { c.subNode[sub] = node }
+// subArrays is the split record reached through chunk.subs.
+type subArrays struct {
+	node   [4]int
+	acc    [4]uint32
+	mapped int
+}
+
+func (c *chunk) mapSub(sub, node int) { c.subs.node[sub] = node }
 
 type Region struct {
 	Start  uint64
@@ -38,8 +44,19 @@ func (r *Region) MigratePT(ci, node int) { // want `Region.MigratePT writes mapp
 
 // DirectBump increments gen inline instead of calling mutated().
 func (r *Region) DirectBump(ci int) {
-	r.chunks[ci].mapped = true
+	r.chunks[ci].subs.mapped++
 	r.gen++
+}
+
+// MapNested writes a page home through the chunk's split record: the
+// write is charged to the innermost selector, subArrays.node.
+func (r *Region) MapNested(ci, sub, node int) { // want `Region.MapNested writes mapping-observable state \(subArrays.node\) without bumping the mapping generation`
+	r.chunks[ci].subs.node[sub] = node
+}
+
+// DropSplit discards a chunk's split record without bumping.
+func (r *Region) DropSplit(ci int) { // want `Region.DropSplit writes mapping-observable state \(chunk.subs\) without bumping the mapping generation`
+	r.chunks[ci].subs = nil
 }
 
 // MapVia calls the chunk helper, which is itself an observable write.
@@ -47,9 +64,11 @@ func (r *Region) MapVia(ci, sub, node int) { // want `Region.MapVia writes mappi
 	r.chunks[ci].mapSub(sub, node)
 }
 
-// Note records access accounting only: no obligation.
+// Note records access accounting only: no obligation, also when it
+// goes through the split record.
 func (r *Region) Note(thread int, n uint64) {
 	r.accesses[thread] += n
+	r.chunks[0].subs.acc[thread]++
 }
 
 // reshape is unexported: callers own the bump.

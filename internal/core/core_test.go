@@ -72,8 +72,8 @@ func s2m(r *vm.Region, chunk, thread int, node topo.NodeID, off uint64) ibs.Samp
 }
 
 func (h *harness) feed(samples []ibs.Sample) {
-	for _, s := range samples {
-		h.env.Sampler.Record(s)
+	for i := range samples {
+		h.env.Sampler.RecordScaled(&samples[i], samples[i].Weight)
 	}
 }
 

@@ -673,8 +673,8 @@ func All(sched *runcache.Scheduler, cfg Config) ([]Result, error) {
 }
 
 // ErrUnknownExperiment is the typed resolution failure for experiment
-// identifiers, matched with errors.Is (the serve layer answers it with
-// HTTP 400).
+// identifiers, matched with errors.Is. The serve daemon has no
+// experiment route; `lpnuma experiment` reports it and exits 1.
 var ErrUnknownExperiment = errors.New("experiments: unknown experiment")
 
 func unknownErr(id string) error {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -11,8 +12,8 @@ import (
 var quick = Config{Seed: 1, WorkScale: 0.03}
 
 func TestByIDUnknown(t *testing.T) {
-	if _, err := ByID("fig9", quick); err == nil {
-		t.Fatal("unknown experiment accepted")
+	if _, err := ByID("fig9", quick); !errors.Is(err, ErrUnknownExperiment) {
+		t.Fatalf("ByID(fig9) = %v, want ErrUnknownExperiment", err)
 	}
 }
 

@@ -12,10 +12,7 @@
 // nodes on one lock).
 package ibs
 
-import (
-	"repro/internal/stats"
-	"repro/internal/vm"
-)
+import "repro/internal/vm"
 
 // Sample is one IBS record. Policies must base decisions only on the
 // fields here — this is the hardware-visible view, as opposed to the
@@ -120,37 +117,14 @@ func (s *Sampler) SetPassive() {
 }
 
 // recordPassive simulates one sample arrival in passive mode, mirroring
-// the length-capped store: it reports whether the sample was taken.
-func (s *Sampler) recordPassive(node int) bool {
+// the length-capped store.
+func (s *Sampler) recordPassive(node int) {
 	if s.virtLen[node] >= s.Cfg.MaxPerNode {
 		s.dropped++
-		return false
+		return
 	}
 	s.virtLen[node]++
 	s.taken++
-	return true
-}
-
-// Maybe samples the described access with probability Cfg.Rate. It returns
-// the overhead cycles to charge to the accessing core (0 when not
-// sampled). rng must be the accessing thread's stream so results stay
-// deterministic under any host scheduling.
-func (s *Sampler) Maybe(rng *stats.Rng, sample Sample) float64 {
-	if !rng.Bernoulli(s.Cfg.Rate) {
-		return 0
-	}
-	node := int(sample.AccessorNode)
-	if s.passive {
-		s.recordPassive(node)
-		return s.Cfg.CyclesPerSample
-	}
-	if len(s.buffers[node]) >= s.Cfg.MaxPerNode {
-		s.dropped++
-		return s.Cfg.CyclesPerSample
-	}
-	s.buffers[node] = append(s.buffers[node], sample)
-	s.taken++
-	return s.Cfg.CyclesPerSample
 }
 
 // RecordScaled stores *sample with its Weight replaced by weight. It
@@ -196,26 +170,6 @@ func (s *Sampler) grow(b []Sample) []Sample {
 	nb := make([]Sample, len(b), ncap)
 	copy(nb, b)
 	return nb
-}
-
-// Record unconditionally stores a sample (used by the engine's merge
-// stage and by replaying trace data).
-func (s *Sampler) Record(sample Sample) {
-	node := int(sample.AccessorNode)
-	if s.passive {
-		s.recordPassive(node)
-		return
-	}
-	b := s.buffers[node]
-	if len(b) >= s.Cfg.MaxPerNode {
-		s.dropped++
-		return
-	}
-	if len(b) == cap(b) {
-		b = s.grow(b)
-	}
-	s.buffers[node] = append(b, sample)
-	s.taken++
 }
 
 // Drain returns all buffered samples merged in node order and clears the

@@ -1,50 +1,16 @@
 package ibs
 
-import (
-	"testing"
-
-	"repro/internal/stats"
-)
+import "testing"
 
 func sample(node int, dram bool) Sample {
 	return Sample{AccessorNode: 0, HomeNode: 1, DRAM: dram, Weight: 1}
 }
 
-func TestMaybeRespectsRate(t *testing.T) {
-	s := NewSampler(Config{Rate: 0.5, CyclesPerSample: 100, MaxPerNode: 1 << 20}, 4)
-	rng := stats.NewRng(1)
-	var overhead float64
-	const n = 10000
-	for i := 0; i < n; i++ {
-		overhead += s.Maybe(rng, sample(0, true))
-	}
-	taken, _ := s.Stats()
-	if taken < 4700 || taken > 5300 {
-		t.Fatalf("taken = %d, want ≈5000", taken)
-	}
-	if overhead != float64(taken)*100 {
-		t.Fatalf("overhead %v inconsistent with %d samples", overhead, taken)
-	}
-}
-
-func TestZeroRateNeverSamples(t *testing.T) {
-	s := NewSampler(Config{Rate: 0, CyclesPerSample: 100, MaxPerNode: 10}, 2)
-	rng := stats.NewRng(1)
-	for i := 0; i < 1000; i++ {
-		if s.Maybe(rng, sample(0, true)) != 0 {
-			t.Fatal("sampled at rate 0")
-		}
-	}
-	if got := len(s.Drain()); got != 0 {
-		t.Fatalf("drained %d samples", got)
-	}
-}
-
 func TestBufferCap(t *testing.T) {
 	s := NewSampler(Config{Rate: 1, CyclesPerSample: 1, MaxPerNode: 5}, 2)
-	rng := stats.NewRng(1)
 	for i := 0; i < 20; i++ {
-		s.Maybe(rng, sample(0, true))
+		sm := sample(0, true)
+		s.RecordScaled(&sm, 1)
 	}
 	if got := len(s.Drain()); got != 5 {
 		t.Fatalf("buffered %d, want cap 5", got)
@@ -57,17 +23,21 @@ func TestBufferCap(t *testing.T) {
 
 func TestDrainClearsAndMergesPerNodeBuffers(t *testing.T) {
 	s := NewSampler(DefaultConfig(), 4)
-	a := Sample{AccessorNode: 2, HomeNode: 2, DRAM: true}
-	b := Sample{AccessorNode: 0, HomeNode: 1, DRAM: true}
-	s.Record(a)
-	s.Record(b)
+	a := Sample{AccessorNode: 2, HomeNode: 2, DRAM: true, Weight: 1}
+	b := Sample{AccessorNode: 0, HomeNode: 1, DRAM: true, Weight: 1}
+	s.RecordScaled(&a, 3)
+	s.RecordScaled(&b, 5)
 	got := s.Drain()
 	if len(got) != 2 {
 		t.Fatalf("drained %d", len(got))
 	}
-	// Node order: node 0's buffer first.
+	// Node order: node 0's buffer first, each sample carrying the weight
+	// it was recorded with while the caller's copy stays untouched.
 	if got[0].AccessorNode != 0 || got[1].AccessorNode != 2 {
 		t.Fatalf("drain order wrong: %+v", got)
+	}
+	if got[0].Weight != 5 || got[1].Weight != 3 || a.Weight != 1 || b.Weight != 1 {
+		t.Fatalf("weights wrong: drained %v, %v; caller's %v, %v", got[0].Weight, got[1].Weight, a.Weight, b.Weight)
 	}
 	if len(s.Drain()) != 0 {
 		t.Fatal("second drain not empty")
@@ -80,21 +50,6 @@ func TestLocal(t *testing.T) {
 	}
 	if (Sample{AccessorNode: 1, HomeNode: 2}).Local() != false {
 		t.Fatal("cross-node sample should be remote")
-	}
-}
-
-func TestDeterminism(t *testing.T) {
-	run := func() uint64 {
-		s := NewSampler(DefaultConfig(), 4)
-		rng := stats.NewRng(99)
-		for i := 0; i < 5000; i++ {
-			s.Maybe(rng, sample(0, i%2 == 0))
-		}
-		taken, _ := s.Stats()
-		return taken
-	}
-	if run() != run() {
-		t.Fatal("sampling not deterministic")
 	}
 }
 

@@ -36,12 +36,15 @@ type Config struct {
 	CachePath string
 	// DrainTimeout bounds graceful shutdown (0 means 30s).
 	DrainTimeout time.Duration
-	// ReadTimeout/WriteTimeout guard against stalled clients holding
-	// connections (0 means 30s read, 5m write — sweeps stream back a
-	// large body only after simulation finishes).
-	ReadTimeout  time.Duration
-	WriteTimeout time.Duration
 }
+
+// readTimeout and writeTimeout guard against stalled clients holding
+// connections. The write bound is long because a sweep streams back a
+// large body only after its simulations finish.
+const (
+	readTimeout  = 30 * time.Second
+	writeTimeout = 5 * time.Minute
+)
 
 // Server is the daemon. Create with New, run with Serve.
 type Server struct {
@@ -96,17 +99,10 @@ func (s *Server) Handler() http.Handler {
 // DrainTimeout), waits out in-flight cell goroutines, and flushes and
 // closes the cache log. Returns nil after a clean drain.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
-	readTO, writeTO := s.cfg.ReadTimeout, s.cfg.WriteTimeout
-	if readTO == 0 {
-		readTO = 30 * time.Second
-	}
-	if writeTO == 0 {
-		writeTO = 5 * time.Minute
-	}
 	srv := &http.Server{
 		Handler:      s.Handler(),
-		ReadTimeout:  readTO,
-		WriteTimeout: writeTO,
+		ReadTimeout:  readTimeout,
+		WriteTimeout: writeTimeout,
 	}
 	done := make(chan error, 1)
 	go func() {

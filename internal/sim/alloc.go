@@ -107,13 +107,22 @@ func (e *Engine) allocSlicePerPage(t int, budgets []float64, allocCount []int, s
 	}
 }
 
+// initTouch prices one allocation-phase first touch of the given weight
+// served at latency lat. Initialization is a streaming write pass: one
+// DRAM line fill per 8 accesses. It returns the touch's per-access
+// cycles, which the caller multiplies by weight, and its DRAM requests.
+func (e *Engine) initTouch(weight, lat float64) (per, reqs float64) {
+	const dramFrac = 0.125
+	return 4 + dramFrac*lat*(1-e.wl.Spec.MLPOverlap), weight * dramFrac
+}
+
 // allocOneSlow performs exactly one first-touch through the full
 // vm.Access fault path (with its capacity and fragmentation fallbacks)
 // and charges it with the alloc phase's per-touch arithmetic. It is the
 // whole per-page reference path, and the batched slice's escape hatch
-// for the rare touch whose fault pre-checks fail — precisely the touches
-// whose outcome the fallback chain decides. Reports whether a touch was
-// consumed.
+// for 2 MB claims (single-touch runs by nature) and for the rare touch
+// whose fault pre-checks fail — precisely the touches whose outcome the
+// fallback chain decides. Reports whether a touch was consumed.
 func (e *Engine) allocOneSlow(t int, budgets []float64, allocCount []int, spent *float64, src int, latRow []float64) bool {
 	touch, ok := e.wl.NextAlloc(t)
 	if !ok {
@@ -122,15 +131,10 @@ func (e *Engine) allocOneSlow(t int, budgets []float64, allocCount []int, spent 
 	allocCount[t]++
 	res := touch.Region.VM.Access(e.core(t), t, touch.Off)
 	node := res.Node
-	// Initialization is a streaming write pass: one DRAM line
-	// fill per 8 accesses.
-	const dramFrac = 0.125
-	lat := latRow[node]
-	per := 4 + dramFrac*lat*(1-e.wl.Spec.MLPOverlap)
+	per, reqs := e.initTouch(touch.Weight, latRow[node])
 	cost := res.FaultCycles + touch.Weight*per
 	budgets[t] -= cost
 	*spent += cost
-	reqs := touch.Weight * dramFrac
 	e.env.Phys.Record(node, reqs)
 	e.env.Fabric.Record(topo.NodeID(src), node, reqs)
 	e.counters.Accesses += touch.Weight
@@ -151,9 +155,10 @@ func (e *Engine) allocOneSlow(t int, budgets []float64, allocCount []int, spent 
 // affords, and commits them through one vm.ApplyAlloc* operation — one
 // buddy transaction, one accounting pass. Every float accumulator
 // advances by the same per-touch addition sequence as the per-page path,
-// so the result is byte-identical to a Config.Reference run; runs whose
-// fault pre-checks fail fall back to allocOneSlow, which replays the
-// fallback chain exactly.
+// so the result is byte-identical to a Config.Reference run. A 2 MB
+// claim is a single touch, so it goes through allocOneSlow, as do 4 KB
+// runs whose node has no free frame; allocOneSlow replays the fallback
+// chain exactly.
 func (e *Engine) allocSliceBatched(t int, budgets []float64, allocCount []int, src int, latRow []float64) {
 	var spent float64
 	core := e.core(t)
@@ -170,6 +175,9 @@ func (e *Engine) allocSliceBatched(t int, budgets []float64, allocCount []int, s
 		run := br.VM.ClassifyAllocRun(core, pages)
 		var faultEach float64
 		switch run.Kind {
+		case vm.AllocRunFault2M:
+			e.allocOneSlow(t, budgets, allocCount, &spent, src, latRow)
+			continue
 		case vm.AllocRunFault4K:
 			// Cap the run at the node's free 4 KB frames: within that cap
 			// the buddy cannot fail (any free block splits down to 4 KB),
@@ -183,21 +191,10 @@ func (e *Engine) allocSliceBatched(t int, budgets []float64, allocCount []int, s
 				run.N = free
 			}
 			faultEach = e.env.Space.FaultCostFor(mem.Size4K)
-		case vm.AllocRunFault2M:
-			if !e.env.Phys.FreeContiguous(run.Node, mem.Size2M) {
-				e.allocOneSlow(t, budgets, allocCount, &spent, src, latRow)
-				continue
-			}
-			faultEach = e.env.Space.FaultCostFor(mem.Size2M)
 		}
-		// Initialization is a streaming write pass: one DRAM line
-		// fill per 8 accesses.
-		const dramFrac = 0.125
 		weight := workloads.TouchWeight(br)
-		lat := latRow[run.Node]
-		per := 4 + dramFrac*lat*(1-e.wl.Spec.MLPOverlap)
+		per, reqs := e.initTouch(weight, latRow[run.Node])
 		cost := faultEach + weight*per
-		reqs := weight * dramFrac
 		// Replay the per-touch budget arithmetic to find how many of the
 		// run's touches this slice affords. The first iteration's checks
 		// mirror the loop-top checks that already passed.
@@ -213,13 +210,10 @@ func (e *Engine) allocSliceBatched(t int, budgets []float64, allocCount []int, s
 			spent += cost
 			k++
 		}
-		switch run.Kind {
-		case vm.AllocRunHit:
+		if run.Kind == vm.AllocRunHit {
 			br.VM.ApplyAllocHitRun(t, pages, k)
-		case vm.AllocRunFault4K:
+		} else {
 			br.VM.ApplyAllocFault4KRun(core, t, run.Node, pages, k, faultEach)
-		default: // vm.AllocRunFault2M, k == 1
-			br.VM.ApplyAllocFault2M(core, t, pages[0], run.Node, faultEach)
 		}
 		e.wl.AdvanceAlloc(t, k)
 		budgets[t] = budget

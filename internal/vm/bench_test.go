@@ -22,7 +22,8 @@ func benchSpace(tb testing.TB, size mem.PageSize) (*AddrSpace, *Region) {
 }
 
 // BenchmarkRegionAccess measures the mapped-page access fast path (the
-// per-touch cost of the allocation phase and of every deferred replay).
+// per-touch cost of the allocation phase's per-page path: the reference
+// run and the batched run's escape hatch).
 // Run with -benchmem; allocations must be 0, enforced by
 // TestRegionAccessZeroAlloc.
 func BenchmarkRegionAccess(b *testing.B) {

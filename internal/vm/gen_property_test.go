@@ -49,7 +49,8 @@ func fpEqual(a, b []uint64) bool {
 // required — conservative bumps (a shrink that unmaps nothing new, a
 // failed promotion that still scanned) are allowed — but a fingerprint
 // change with a stale Gen is exactly the bug class that silently
-// mis-prices traffic, so it fails loudly here.
+// mis-prices traffic, so it fails loudly here. Every step also checks
+// the split record's invariants (splitInvariant).
 func TestGenCoversObservableMappingChanges(t *testing.T) {
 	const bytes = 4 << 30 // two giant frames of room
 	m := topo.MachineA()
@@ -108,10 +109,24 @@ func TestGenCoversObservableMappingChanges(t *testing.T) {
 			case 8:
 				name = "Unmap"
 				lo := uint64(rng.Intn(nc)) << 21
-				r.Unmap(lo, lo+uint64(rng.Intn(16)+1)<<12)
+				n := uint64(rng.Intn(16)+1) << 12
+				if rng.Bernoulli(0.5) {
+					// Empty a whole chunk, the next split one if any.
+					for c := int(lo >> 21); c < nc; c++ {
+						if r.chunks[c].state == state4K {
+							lo = uint64(c) << 21
+							break
+						}
+					}
+					n = 1 << 21
+				}
+				r.Unmap(lo, lo+n)
 			case 9:
 				name = "MigratePT"
 				r.MigratePT(node)
+			}
+			if err := splitInvariant(r); err != nil {
+				t.Fatalf("seed %d step %d: after %s: %v", seed, step, name, err)
 			}
 			fp := mappingFingerprint(r, bytes)
 			gen := r.Gen()

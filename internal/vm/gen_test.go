@@ -98,8 +98,6 @@ func TestGenTracksEveryMutation(t *testing.T) {
 	batch := []uint32{4 * vm.SubsPerChunk, 4*vm.SubsPerChunk + 1, 4*vm.SubsPerChunk + 2}
 	r.ApplyAllocFault4KRun(0, 0, 0, batch, len(batch), 0)
 	g = expect("Region.ApplyAllocFault4KRun", "batched 4K fault run", true, g)
-	r.ApplyAllocFault2M(0, 0, 5*vm.SubsPerChunk, 0, 0)
-	g = expect("Region.ApplyAllocFault2M", "batched 2M fault", true, g)
 	r.ApplyAllocHitRun(0, batch, len(batch))
 	g = expect("", "batched hit run", false, g)
 

@@ -101,7 +101,7 @@ func (r *Region) ChunkInfo(ci int) ChunkInfo {
 	case state2M:
 		return ChunkInfo{State: Mapped2M, Node: c.node}
 	case state4K:
-		return ChunkInfo{State: Mapped4K, Node: c.node, MappedSubs: c.mappedSubs()}
+		return ChunkInfo{State: Mapped4K, Node: c.node, MappedSubs: int(c.subs.mapped)}
 	case state1G:
 		return ChunkInfo{State: Mapped1G, Node: r.chunks[c.giantHead].node, GiantHead: c.giantHead}
 	default:
@@ -113,10 +113,10 @@ func (r *Region) ChunkInfo(ci int) ChunkInfo {
 // whether it is mapped.
 func (r *Region) SubNode(ci, sub int) (topo.NodeID, bool) {
 	c := &r.chunks[ci]
-	if c.state != state4K || c.subNode == nil || c.subNode[sub] == unmappedNode {
+	if c.state != state4K || c.subs.node[sub] == unmappedNode {
 		return 0, false
 	}
-	return topo.NodeID(c.subNode[sub]), true
+	return topo.NodeID(c.subs.node[sub]), true
 }
 
 // MigrateChunk moves a 2 MB-mapped chunk to node. It returns the cycles
@@ -139,10 +139,10 @@ func (r *Region) MigrateChunk(ci int, to topo.NodeID, costs OpCosts) (float64, b
 // MigrateSub moves one 4 KB page of a split chunk to node.
 func (r *Region) MigrateSub(ci, sub int, to topo.NodeID, costs OpCosts) (float64, bool) {
 	c := &r.chunks[ci]
-	if c.state != state4K || c.subNode == nil || c.subNode[sub] == unmappedNode {
+	if c.state != state4K || c.subs.node[sub] == unmappedNode {
 		return 0, false
 	}
-	from := topo.NodeID(c.subNode[sub])
+	from := topo.NodeID(c.subs.node[sub])
 	if from == to {
 		return 0, false
 	}
@@ -165,19 +165,16 @@ func (r *Region) SplitChunk(ci int, costs OpCosts) (float64, bool) {
 	}
 	node := c.node
 	mustFree(r.Space.Phys, node, mem.Size2M)
-	c.ensureSubs()
 	// One run of 512 frames is the 512 single allocations replayed
 	// (mem.System.AllocateRun), and freeing the 2 MB page just made room
 	// for all of them.
 	if r.Space.Phys.AllocateRun(node, mem.Size4K, SubsPerChunk) != SubsPerChunk {
 		panic("vm: split re-allocation failed on the page's own node")
 	}
-	for i := range c.subNode {
+	c.ensureSubs()
+	for i := 0; i < SubsPerChunk; i++ {
 		c.mapSub(i, node)
-		c.subAcc[i] = 0
-		c.subMask[i] = 0
 	}
-	c.state = state4K
 	c.threadMask = 0
 	r.count2M--
 	r.count4K += SubsPerChunk
@@ -196,8 +193,8 @@ func (r *Region) InterleaveSubs(ci int, rng *stats.Rng, costs OpCosts) float64 {
 	nodes := r.Space.Machine.Nodes
 	start := rng.Intn(nodes)
 	var cycles float64
-	for i := range c.subNode {
-		if c.subNode[i] == unmappedNode {
+	for i, n := range c.subs.node[:] {
+		if n == unmappedNode {
 			continue
 		}
 		to := topo.NodeID((start + i) % nodes)
@@ -216,7 +213,7 @@ func (r *Region) PromoteChunk(ci int, to topo.NodeID, minSubs int, costs OpCosts
 	if c.state != state4K {
 		return 0, false
 	}
-	mapped := c.mappedSubs()
+	mapped := int(c.subs.mapped)
 	if mapped < minSubs {
 		return 0, false
 	}
@@ -224,22 +221,18 @@ func (r *Region) PromoteChunk(ci int, to topo.NodeID, minSubs int, costs OpCosts
 		return 0, false
 	}
 	cycles := costs.PromoteMin
-	for i := range c.subNode {
-		if c.subNode[i] == unmappedNode {
+	for _, n := range c.subs.node[:] {
+		if n == unmappedNode {
 			continue
 		}
-		if topo.NodeID(c.subNode[i]) != to {
+		if topo.NodeID(n) != to {
 			cycles += costs.Migrate4K
 		}
-		mustFree(r.Space.Phys, topo.NodeID(c.subNode[i]), mem.Size4K)
+		mustFree(r.Space.Phys, topo.NodeID(n), mem.Size4K)
 	}
 	c.state = state2M
 	c.node = to
-	c.subNode = nil
-	c.runsOK = false
-	c.mapped = 0
-	c.subAcc = nil
-	c.subMask = nil
+	c.subs = nil
 	c.threadMask = 0
 	c.accesses = 0
 	r.count4K -= mapped
@@ -253,21 +246,17 @@ func (r *Region) PromoteChunk(ci int, to topo.NodeID, minSubs int, costs OpCosts
 // promotion target.
 func (r *Region) DominantSubNode(ci int) (topo.NodeID, bool) {
 	c := &r.chunks[ci]
-	if c.state != state4K || c.subNode == nil {
+	if c.state != state4K {
 		return 0, false
 	}
+	s := c.subs
 	weights := make([]float64, r.Space.Machine.Nodes)
-	any := false
-	for i, n := range c.subNode {
+	for i, n := range s.node[:] {
 		if n == unmappedNode {
 			continue
 		}
-		any = true
-		w := float64(c.subAcc[i]) + 1
+		w := float64(s.acc[i]) + 1
 		weights[n] += w
-	}
-	if !any {
-		return 0, false
 	}
 	best := 0
 	for n := range weights {
@@ -433,30 +422,37 @@ func (r *Region) Unmap(lo, hi uint64) uint64 {
 			// Free maximal same-node runs in one batched call each:
 			// mem.FreeRun replays the exact per-call sequence, and the
 			// tight loop lets the random-victim cache misses overlap.
+			s := c.subs
 			for sub := 0; sub < SubsPerChunk; {
 				sa := base + uint64(sub)<<subShift
-				if sa < lo || sa+uint64(mem.Size4K) > hi || c.subNode[sub] == unmappedNode {
+				if sa < lo || sa+uint64(mem.Size4K) > hi || s.node[sub] == unmappedNode {
 					sub++
 					continue
 				}
-				node := c.subNode[sub]
+				node := s.node[sub]
 				run := sub + 1
-				for run < SubsPerChunk && c.subNode[run] == node &&
+				for run < SubsPerChunk && s.node[run] == node &&
 					base+uint64(run+1)<<subShift <= hi {
 					run++
 				}
 				n := run - sub
 				mustFreeRun(r.Space.Phys, topo.NodeID(node), mem.Size4K, n)
 				for i := sub; i < run; i++ {
-					c.subNode[i] = unmappedNode
-					c.subAcc[i] = 0
-					c.subMask[i] = 0
+					s.node[i] = unmappedNode
+					s.acc[i] = 0
+					s.mask[i] = 0
 				}
-				c.runsOK = false
-				c.mapped -= int32(n)
+				s.runsOK = false
+				s.mapped -= int32(n)
 				r.count4K -= n
 				released += uint64(n) * uint64(mem.Size4K)
 				sub = run
+			}
+			if s.mapped == 0 {
+				// The last 4 KB page went: the chunk is unmapped again,
+				// and its next fault may back it at either size.
+				c.state = stateUnmapped
+				c.subs = nil
 			}
 		case state1G:
 			head := c.giantHead
@@ -520,13 +516,14 @@ func (r *Region) ForEachPage(f func(PageAccess)) {
 				Accesses: c.accesses, Threads: popcount64(c.threadMask),
 			})
 		case state4K:
-			for sub := range c.subNode {
-				if c.subNode[sub] == unmappedNode {
+			s := c.subs
+			for sub, n := range s.node[:] {
+				if n == unmappedNode {
 					continue
 				}
 				f(PageAccess{
-					Page: PageID{r, ci, sub}, Size: mem.Size4K, Node: topo.NodeID(c.subNode[sub]),
-					Accesses: uint64(c.subAcc[sub]), Threads: popcount64(c.subMask[sub]),
+					Page: PageID{r, ci, sub}, Size: mem.Size4K, Node: topo.NodeID(n),
+					Accesses: uint64(s.acc[sub]), Threads: popcount64(s.mask[sub]),
 				})
 			}
 		}
@@ -580,11 +577,12 @@ func (r *Region) Spans(lo, hi uint64, fn func(node topo.NodeID, spanLo, spanHi u
 			// spans the per-sub scan would feed emit (adjacent same-node
 			// subs merge identically), and unmapped bytes fall out as the
 			// clipped remainder — both byte-exact.
-			if !c.runsOK {
-				c.buildSubRuns()
+			s := c.subs
+			if !s.runsOK {
+				s.buildSubRuns()
 			}
 			var mapped uint64
-			for _, run := range c.subRuns {
+			for _, run := range s.subRuns {
 				sa := base + uint64(run.lo)<<subShift
 				sb := base + uint64(run.hi)<<subShift
 				if sa < a {
@@ -617,9 +615,9 @@ func (s *AddrSpace) ResetAccessCounters() {
 			c := &r.chunks[ci]
 			c.accesses = 0
 			c.threadMask = 0
-			for i := range c.subAcc {
-				c.subAcc[i] = 0
-				c.subMask[i] = 0
+			if s := c.subs; s != nil {
+				clear(s.acc[:])
+				clear(s.mask[:])
 			}
 		}
 	}
@@ -638,7 +636,7 @@ func (r *Region) MappedBytes() uint64 {
 				b += uint64(mem.Size1G)
 			}
 		case state4K:
-			b += uint64(c.mappedSubs()) * uint64(mem.Size4K)
+			b += uint64(c.subs.mapped) * uint64(mem.Size4K)
 		}
 	}
 	return b
@@ -664,7 +662,7 @@ func (r *Region) recountPages() (n4k, n2m, n1g int) {
 				n1g++
 			}
 		case state4K:
-			n4k += c.mappedSubs()
+			n4k += int(c.subs.mapped)
 		}
 	}
 	return

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -9,10 +10,28 @@ import (
 	"repro/internal/topo"
 )
 
+// splitInvariant returns an error naming the first chunk of r that
+// breaks the split record's invariants: the 4 KB bookkeeping exists
+// exactly when the chunk is split, and a split chunk maps at least one
+// 4 KB page (releasing the last one unmaps the chunk).
+func splitInvariant(r *Region) error {
+	for ci := range r.chunks {
+		c := &r.chunks[ci]
+		if (c.subs != nil) != (c.state == state4K) {
+			return fmt.Errorf("chunk %d: state %d, subs present %v", ci, c.state, c.subs != nil)
+		}
+		if c.state == state4K && c.subs.mapped < 1 {
+			return fmt.Errorf("chunk %d: split with %d mapped pages", ci, c.subs.mapped)
+		}
+	}
+	return nil
+}
+
 // TestPhysicalBytesInvariant drives random sequences of the OS page
 // operations and checks, after every step, that the physical allocator's
-// byte accounting equals the sum of mapped bytes across regions, and that
-// the incremental page census matches a full recount.
+// byte accounting equals the sum of mapped bytes across regions, that
+// the incremental page census matches a full recount, and that every
+// chunk keeps the split record's invariants (splitInvariant).
 func TestPhysicalBytesInvariant(t *testing.T) {
 	f := func(seed uint64, ops []uint8) bool {
 		m := topo.MachineA()
@@ -33,12 +52,12 @@ func TestPhysicalBytesInvariant(t *testing.T) {
 			}
 			a4, a2, a1 := r.MappedPages()
 			b4, b2, b1 := r.recountPages()
-			return a4 == b4 && a2 == b2 && a1 == b1
+			return a4 == b4 && a2 == b2 && a1 == b1 && splitInvariant(r) == nil
 		}
 
 		for _, op := range ops {
-			ci := int(op) % r.NumChunks()
-			switch op % 5 {
+			ci := rng.Intn(r.NumChunks())
+			switch op % 6 {
 			case 0: // touch (maybe fault 2M)
 				off := uint64(ci)*uint64(mem.Size2M) + uint64(rng.Intn(1<<21))
 				r.Access(topo.CoreID(rng.Intn(24)), rng.Intn(24), off)
@@ -52,6 +71,12 @@ func TestPhysicalBytesInvariant(t *testing.T) {
 				if node, ok := r.DominantSubNode(ci); ok {
 					r.PromoteChunk(ci, node, 1, costs)
 				}
+			case 5: // unmap a 4 KB-aligned range, possibly a split chunk's last pages
+				lo := uint64(ci) * uint64(mem.Size2M)
+				if rng.Bernoulli(0.5) {
+					lo += uint64(rng.Intn(SubsPerChunk)) * uint64(mem.Size4K)
+				}
+				r.Unmap(lo, lo+uint64(rng.Intn(2*SubsPerChunk)+1)*uint64(mem.Size4K))
 			}
 			if !check() {
 				return false

@@ -33,18 +33,19 @@ const (
 	AllocRunFault4K
 	// AllocRunFault2M: a single first touch claiming the whole chunk with
 	// a 2 MB page (N is always 1; once mapped, the rest of the chunk
-	// re-classifies as an AllocRunHit).
+	// re-classifies as an AllocRunHit). The engine commits it through the
+	// per-page fault path, Region.Access, which also places it, so Node
+	// is left unset.
 	AllocRunFault2M
 )
 
 // AllocRun describes a maximal batchable prefix of a thread's pending
 // first-touch pages: N touches inside one chunk that all resolve to the
-// same (kind, node, size), so one pricing covers every touch.
+// same (kind, node), so one pricing covers every touch.
 type AllocRun struct {
 	N    int
 	Kind AllocRunKind
 	Node topo.NodeID
-	Size mem.PageSize
 }
 
 // runInChunk counts the leading pages that fall in chunk ci.
@@ -60,7 +61,7 @@ func runInChunk(pages []uint32, ci int) int {
 // list (ascending 4 KB page indices within r) and returns the maximal
 // leading run that one batched operation can commit. It mutates nothing:
 // the caller decides how much of the run its budget affords and commits
-// via the matching ApplyAlloc* entry point.
+// a hit or 4 KB fault run via the matching ApplyAlloc* entry point.
 //
 // The classification stays valid for the whole run because the only
 // mutations between classify and apply are the run's own touches, each
@@ -72,43 +73,41 @@ func (r *Region) ClassifyAllocRun(core topo.CoreID, pages []uint32) AllocRun {
 	c := &r.chunks[ci]
 	switch c.state {
 	case state2M:
-		return AllocRun{N: runInChunk(pages, ci), Kind: AllocRunHit, Node: c.node, Size: mem.Size2M}
+		return AllocRun{N: runInChunk(pages, ci), Kind: AllocRunHit, Node: c.node}
 	case state1G:
 		head := &r.chunks[c.giantHead]
-		return AllocRun{N: runInChunk(pages, ci), Kind: AllocRunHit, Node: head.node, Size: mem.Size1G}
+		return AllocRun{N: runInChunk(pages, ci), Kind: AllocRunHit, Node: head.node}
 	case state4K:
-		if n := c.subNode[p0&(SubsPerChunk-1)]; n != unmappedNode {
+		s := c.subs
+		if n := s.node[p0&(SubsPerChunk-1)]; n != unmappedNode {
 			// Mapped subs of a split chunk (promotion can run mid-alloc, so
 			// hits here are real): extend while the home node holds.
 			k := 1
 			for k < len(pages) {
 				p := int(pages[k])
-				if p>>(chunkShift-subShift) != ci || c.subNode[p&(SubsPerChunk-1)] != n {
+				if p>>(chunkShift-subShift) != ci || s.node[p&(SubsPerChunk-1)] != n {
 					break
 				}
 				k++
 			}
-			return AllocRun{N: k, Kind: AllocRunHit, Node: topo.NodeID(n), Size: mem.Size4K}
+			return AllocRun{N: k, Kind: AllocRunHit, Node: topo.NodeID(n)}
 		}
-		if r.faultSize(ci) == mem.Size2M {
-			// A fully-unmapped split chunk can take a 2 MB fault again.
-			return AllocRun{N: 1, Kind: AllocRunFault2M, Node: r.Space.placeNode(core, mem.Size2M), Size: mem.Size2M}
-		}
+		// A split chunk faults at 4 KB whatever the policy asks for.
 		node := r.Space.placeNode(core, mem.Size4K)
 		k := 1
 		for k < len(pages) {
 			p := int(pages[k])
-			if p>>(chunkShift-subShift) != ci || c.subNode[p&(SubsPerChunk-1)] != unmappedNode {
+			if p>>(chunkShift-subShift) != ci || s.node[p&(SubsPerChunk-1)] != unmappedNode {
 				break
 			}
 			k++
 		}
-		return AllocRun{N: k, Kind: AllocRunFault4K, Node: node, Size: mem.Size4K}
+		return AllocRun{N: k, Kind: AllocRunFault4K, Node: node}
 	default: // stateUnmapped
 		if r.faultSize(ci) == mem.Size2M {
-			return AllocRun{N: 1, Kind: AllocRunFault2M, Node: r.Space.placeNode(core, mem.Size2M), Size: mem.Size2M}
+			return AllocRun{N: 1, Kind: AllocRunFault2M}
 		}
-		return AllocRun{N: runInChunk(pages, ci), Kind: AllocRunFault4K, Node: r.Space.placeNode(core, mem.Size4K), Size: mem.Size4K}
+		return AllocRun{N: runInChunk(pages, ci), Kind: AllocRunFault4K, Node: r.Space.placeNode(core, mem.Size4K)}
 	}
 }
 
@@ -130,10 +129,11 @@ func (r *Region) ApplyAllocHitRun(thread int, pages []uint32, k int) {
 		head.accesses += uint64(k)
 		head.threadMask |= tbit
 	default: // state4K, mapped subs
+		s := c.subs
 		for _, p := range pages[:k] {
 			sub := int(p) & (SubsPerChunk - 1)
-			c.subAcc[sub]++
-			c.subMask[sub] |= tbit
+			s.acc[sub]++
+			s.mask[sub] |= tbit
 		}
 		c.accesses += uint64(k)
 	}
@@ -166,48 +166,16 @@ func (r *Region) ApplyAllocFault4KRun(core topo.CoreID, thread int, node topo.No
 	}
 	ci := int(pages[0]) >> (chunkShift - subShift)
 	c := &r.chunks[ci]
-	c.ensureSubs()
-	if c.state == stateUnmapped {
-		c.state = state4K
-	}
+	subs := c.ensureSubs()
 	tbit := uint64(1) << uint(thread&63)
 	for _, p := range pages[:k] {
 		sub := int(p) & (SubsPerChunk - 1)
 		c.mapSub(sub, node)
-		c.subAcc[sub]++
-		c.subMask[sub] |= tbit
+		subs.acc[sub]++
+		subs.mask[sub] |= tbit
 	}
 	c.accesses += uint64(k)
 	s.faultCount4K += uint64(k)
 	r.count4K += k
 	r.gen += uint64(k) // k mapping mutations
-}
-
-// ApplyAllocFault2M commits the single first touch that claims a chunk
-// with a 2 MB page on node (pre-checked contiguous-free by the caller,
-// so the fragmentation fallback cannot trigger). costEach is this
-// epoch's constant 2 MB fault cost.
-//
-//lpnuma:noalloc span-fault entry point: runs once per allocation run on the alloc-phase hot path
-func (r *Region) ApplyAllocFault2M(core topo.CoreID, thread int, page uint32, node topo.NodeID, costEach float64) {
-	s := r.Space
-	s.faultCyclesPerCore[core] += costEach
-	s.markFaulter(core)
-	if !r.ptHomeSet {
-		r.ptHome = s.Machine.NodeOf(core)
-		r.ptHomeSet = true
-	}
-	if err := s.Phys.Allocate(node, mem.Size2M); err != nil {
-		//lpnuma:alloc-ok panic path: the caller's contiguous-free pre-check was violated
-		panic(fmt.Sprintf("vm: batched 2M fault on node %d: %v", node, err))
-	}
-	ci := int(page) >> (chunkShift - subShift)
-	c := &r.chunks[ci]
-	c.state = state2M
-	c.node = node
-	s.faultCount2M++
-	r.count2M++
-	r.mutated()
-	c.accesses++
-	c.threadMask |= uint64(1) << uint(thread&63)
 }

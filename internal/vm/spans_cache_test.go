@@ -10,8 +10,8 @@ import (
 
 // spansReference is the original per-sub Spans walk, kept verbatim as
 // the oracle for the cached-run fast path: it scans every 4 KB slot of
-// split chunks instead of replaying chunk.subRuns. Any invalidation gap
-// in the cache (a subNode writer that forgets to clear runsOK) makes the
+// split chunks instead of replaying subArrays.subRuns. Any invalidation
+// gap in the cache (a node writer that forgets to clear runsOK) makes the
 // two walks diverge.
 func spansReference(r *Region, lo, hi uint64, fn func(node topo.NodeID, spanLo, spanHi uint64)) (unmappedBytes uint64) {
 	if hi > uint64(len(r.chunks))*uint64(mem.Size2M) {
@@ -60,7 +60,7 @@ func spansReference(r *Region, lo, hi uint64, fn func(node topo.NodeID, spanLo, 
 				if sb > b {
 					sb = b
 				}
-				if n := c.subNode[sub]; n != unmappedNode {
+				if n := c.subs.node[sub]; n != unmappedNode {
 					emit(topo.NodeID(n), sa, sb)
 				} else {
 					unmappedBytes += sb - sa
@@ -99,8 +99,9 @@ func TestSpansCacheMatchesReference(t *testing.T) {
 		rng := stats.NewRng(seed)
 		phys := mem.NewSystem(m, mem.LatencyParamsFor(m.Name))
 		space := NewAddrSpace(m, phys, DefaultFaultParams())
+		force2M := false
 		space.AllocSize = func(*Region, int) mem.PageSize {
-			if rng.Bernoulli(0.5) {
+			if force2M || rng.Bernoulli(0.5) {
 				return mem.Size2M
 			}
 			return mem.Size4K
@@ -194,12 +195,12 @@ func TestSpansCacheMatchesReference(t *testing.T) {
 					r.ApplyAllocFault4KRun(core, 0, run.Node, pages, run.N, 0)
 				}
 			default:
-				name = "ApplyAllocFault2M"
-				page := uint32(ci * SubsPerChunk)
-				run := r.ClassifyAllocRun(core, []uint32{page})
-				if run.Kind == AllocRunFault2M && phys.FreeContiguous(run.Node, mem.Size2M) {
-					r.ApplyAllocFault2M(core, 0, page, run.Node, 0)
-				}
+				// The alloc phase's 2 MB claim: a first touch through
+				// the per-page fault path with the policy asking for 2 MB.
+				name = "2M Access fault"
+				force2M = true
+				r.Access(core, 0, uint64(ci)<<21)
+				force2M = false
 			}
 			check(step, name)
 		}

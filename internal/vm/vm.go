@@ -6,7 +6,7 @@
 // and promotion.
 //
 // Mappings are tracked in 2 MB-aligned "chunks": a chunk is either backed
-// by a single 2 MB page, by up to 512 individually-placed 4 KB pages, or is
+// by a single 2 MB page, by 1 to 512 individually-placed 4 KB pages, or is
 // one slice of a 1 GB page. Access counts, the set of touching threads and
 // home nodes are recorded at the mapping granularity, which is exactly the
 // granularity at which the paper's metrics (PAMUP, NHP, PSP) are defined.
@@ -46,7 +46,7 @@ type chunkState uint8
 const (
 	stateUnmapped chunkState = iota
 	state2M                  // one 2 MB page on chunk.node
-	state4K                  // individually placed 4 KB pages in sub arrays
+	state4K                  // individually placed 4 KB pages in chunk.subs
 	state1G                  // part of a 1 GB page; head chunk holds accounting
 )
 
@@ -60,29 +60,38 @@ type chunk struct {
 
 	giantHead int // index of the 1 GB head chunk when state1G
 
-	// 4 KB bookkeeping, allocated lazily when the chunk is split or
-	// first mapped with small pages.
-	subNode []uint8 // home node per 4 KB page, unmappedNode when absent
-	// mapped counts the non-unmappedNode entries of subNode incrementally
-	// (mappedSubs sits on the fault and promotion paths).
-	mapped int32
-
-	// Ground-truth access accounting at mapping granularity.
+	// Ground-truth access accounting at mapping granularity (for a
+	// split chunk, accesses is the chunk-level total kept for cheap
+	// region sums).
 	accesses   uint64
 	threadMask uint64
-	subAcc     []uint32
-	subMask    []uint64
 
-	// subRuns caches the maximal same-node mapped runs of a split chunk
-	// for Spans: the placement census re-walks every region whose Gen
-	// moved, but most chunks of that region did not change, and replaying
-	// a handful of coalesced runs is far cheaper than scanning 512 slots.
-	// Invalidated (runsOK cleared) by every subNode write — mapSub,
-	// Unmap's direct clear, and PromoteChunk's teardown. Replaying runs
-	// through Spans' emit coalescer produces the identical visit sequence
-	// the per-sub scan would, so census floats are byte-identical.
+	// subs holds the 4 KB bookkeeping; it is non-nil exactly when state
+	// is state4K, and a split chunk always has at least one mapped page.
+	subs *subArrays
+}
+
+// subArrays is a split chunk's 4 KB bookkeeping, one allocation per
+// chunk (widest array first, so the arrays pack without padding).
+type subArrays struct {
+	mask [SubsPerChunk]uint64 // touching threads per 4 KB page
+	acc  [SubsPerChunk]uint32 // accesses per 4 KB page
+	node [SubsPerChunk]uint8  // home node per 4 KB page, unmappedNode when absent
+
+	// subRuns caches the maximal same-node mapped runs of node for
+	// Spans: the placement census re-walks every region whose Gen moved,
+	// but most chunks of that region did not change, and replaying a
+	// handful of coalesced runs is far cheaper than scanning 512 slots.
+	// Invalidated (runsOK cleared) by every node write — mapSub and
+	// Unmap's direct clear. Replaying runs through Spans' emit coalescer
+	// produces the identical visit sequence the per-sub scan would, so
+	// census floats are byte-identical.
 	subRuns []subRun
-	runsOK  bool
+
+	// mapped counts the non-unmappedNode entries of node incrementally
+	// (it sits on the fault and promotion paths).
+	mapped int32
+	runsOK bool
 }
 
 // subRun is one maximal same-node mapped run of a split chunk:
@@ -92,54 +101,46 @@ type subRun struct {
 	lo, hi uint16
 }
 
-// buildSubRuns recompresses subNode into the cached run list.
-func (c *chunk) buildSubRuns() {
-	c.subRuns = c.subRuns[:0]
+// buildSubRuns recompresses node into the cached run list.
+func (s *subArrays) buildSubRuns() {
+	s.subRuns = s.subRuns[:0]
 	for sub := 0; sub < SubsPerChunk; {
-		n := c.subNode[sub]
+		n := s.node[sub]
 		if n == unmappedNode {
 			sub++
 			continue
 		}
 		lo := sub
-		for sub++; sub < SubsPerChunk && c.subNode[sub] == n; sub++ {
+		for sub++; sub < SubsPerChunk && s.node[sub] == n; sub++ {
 		}
-		c.subRuns = append(c.subRuns, subRun{node: n, lo: uint16(lo), hi: uint16(sub)})
+		s.subRuns = append(s.subRuns, subRun{node: n, lo: uint16(lo), hi: uint16(sub)})
 	}
-	c.runsOK = true
+	s.runsOK = true
 }
 
-// subArrays backs a split chunk's three per-4 KB slices with one
-// allocation (widest element first, so the arrays pack without padding).
-type subArrays struct {
-	mask [SubsPerChunk]uint64
-	acc  [SubsPerChunk]uint32
-	node [SubsPerChunk]uint8
-}
-
-func (c *chunk) ensureSubs() {
-	if c.subNode == nil {
-		a := new(subArrays) //lpnuma:alloc-ok one-time per-chunk first-touch setup, amortized over the chunk's 512 pages
-		for i := range a.node {
-			a.node[i] = unmappedNode
+// ensureSubs makes c a split chunk, allocating its 4 KB bookkeeping
+// (every slot unmapped) when it has none yet.
+func (c *chunk) ensureSubs() *subArrays {
+	if c.subs == nil {
+		s := new(subArrays) //lpnuma:alloc-ok one-time per-chunk first-touch setup, amortized over the chunk's 512 pages
+		for i := range s.node[:] {
+			s.node[i] = unmappedNode
 		}
-		c.subNode, c.subAcc, c.subMask = a.node[:], a.acc[:], a.mask[:]
+		c.subs = s
 	}
+	c.state = state4K
+	return c.subs
 }
-
-// mappedSubs returns the number of mapped 4 KB pages of a split chunk,
-// maintained incrementally (mapSub / PromoteChunk / SplitChunk) instead
-// of scanning the 512 slots on every fault.
-func (c *chunk) mappedSubs() int { return int(c.mapped) }
 
 // mapSub points 4 KB slot sub at node, keeping the incremental mapped
-// count in sync. It must be the only writer of subNode slots.
+// count in sync.
 func (c *chunk) mapSub(sub int, node topo.NodeID) {
-	if c.subNode[sub] == unmappedNode {
-		c.mapped++
+	s := c.subs
+	if s.node[sub] == unmappedNode {
+		s.mapped++
 	}
-	c.subNode[sub] = uint8(node)
-	c.runsOK = false
+	s.node[sub] = uint8(node)
+	s.runsOK = false
 }
 
 // Region is a contiguous virtual segment (an "allocation" from the
@@ -405,10 +406,13 @@ type AccessResult struct {
 // offset off within r, faulting the page in if necessary and recording
 // ground-truth accounting at the mapping granularity.
 //
-// The mapped cases are the hot path (every priced access in steady state
-// lands here): one shift to find the chunk, one switch, and the
-// accounting update folded in, with no second state dispatch and no
-// allocation.
+// Access is the per-page path: the allocation phase's reference run and
+// the batched run's escape hatch (2 MB claims, touches whose fault
+// pre-checks fail) take every touch through here; steady-state pricing
+// goes through PeekRecord instead. The mapped cases stay inline — one
+// shift to find the chunk, one switch, the accounting update folded in,
+// no allocation. Building Access from PeekRecord plus fault gives the
+// same results but roughly triples BenchmarkRegionAccess.
 func (r *Region) Access(core topo.CoreID, thread int, off uint64) AccessResult {
 	ci := int(off >> chunkShift)
 	if ci >= len(r.chunks) {
@@ -423,9 +427,10 @@ func (r *Region) Access(core topo.CoreID, thread int, off uint64) AccessResult {
 		return AccessResult{Node: c.node, PageSize: mem.Size2M, Page: PageID{r, ci, -1}}
 	case state4K:
 		sub := int(off>>subShift) & (SubsPerChunk - 1)
-		if n := c.subNode[sub]; n != unmappedNode {
-			c.subAcc[sub]++
-			c.subMask[sub] |= tbit
+		s := c.subs
+		if n := s.node[sub]; n != unmappedNode {
+			s.acc[sub]++
+			s.mask[sub] |= tbit
 			c.accesses++ // chunk-level total kept for cheap region sums
 			return AccessResult{Node: topo.NodeID(n), PageSize: mem.Size4K, Page: PageID{r, ci, sub}}
 		}
@@ -449,9 +454,9 @@ const (
 	// has been recorded.
 	PeekMapped PeekStatus = iota
 	// PeekUnmappedSub: a 4 KB slot of a split chunk is unmapped. Sub-level
-	// accounting has already been recorded (the mapping the fault will
-	// establish is exactly that slot); the caller prices the fault and
-	// defers only its mapping.
+	// accounting has already been recorded (a split chunk always faults
+	// at 4 KB, so the mapping the fault will establish is exactly that
+	// slot); the caller prices the fault and defers only its mapping.
 	PeekUnmappedSub
 	// PeekUnmappedChunk: the whole chunk is unmapped; no accounting was
 	// recorded because its granularity depends on the fault's page-size
@@ -493,16 +498,17 @@ func (r *Region) PeekRecord(off uint64, thread int, shared bool) (AccessResult, 
 		return AccessResult{Node: c.node, PageSize: mem.Size2M, Page: PageID{r, ci, -1}}, PeekMapped
 	case state4K:
 		sub := int(off>>subShift) & (SubsPerChunk - 1)
+		s := c.subs
 		if shared {
-			atomic.AddUint32(&c.subAcc[sub], 1)
-			atomicOr64(&c.subMask[sub], tbit)
+			atomic.AddUint32(&s.acc[sub], 1)
+			atomicOr64(&s.mask[sub], tbit)
 			atomic.AddUint64(&c.accesses, 1)
 		} else {
-			c.subAcc[sub]++
-			c.subMask[sub] |= tbit
+			s.acc[sub]++
+			s.mask[sub] |= tbit
 			c.accesses++
 		}
-		if n := c.subNode[sub]; n != unmappedNode {
+		if n := s.node[sub]; n != unmappedNode {
 			return AccessResult{Node: topo.NodeID(n), PageSize: mem.Size4K, Page: PageID{r, ci, sub}}, PeekMapped
 		}
 		return AccessResult{}, PeekUnmappedSub
@@ -560,8 +566,7 @@ func (r *Region) faultSize(ci int) mem.PageSize {
 		// semantics); a stray fault falls back to 4 KB.
 		size = mem.Size4K
 	}
-	c := &r.chunks[ci]
-	if size == mem.Size2M && c.state == state4K && c.mappedSubs() > 0 {
+	if size == mem.Size2M && r.chunks[ci].state == state4K {
 		// A split chunk keeps 4 KB granularity; fault just the sub.
 		size = mem.Size4K
 	}
@@ -586,7 +591,7 @@ func (r *Region) ApplyFault(core topo.CoreID, off uint64, cost float64) {
 		return
 	case state4K:
 		sub := int(off>>subShift) & (SubsPerChunk - 1)
-		if c.subNode[sub] != unmappedNode {
+		if c.subs.node[sub] != unmappedNode {
 			return
 		}
 	}
@@ -614,8 +619,8 @@ func (r *Region) recordAccess(ci int, off uint64, thread int) {
 		head.threadMask |= tbit
 	case state4K:
 		sub := int(off % uint64(mem.Size2M) / uint64(mem.Size4K))
-		c.subAcc[sub]++
-		c.subMask[sub] |= tbit
+		c.subs.acc[sub]++
+		c.subs.mask[sub] |= tbit
 		c.accesses++ // chunk-level total kept for cheap region sums
 	default:
 		c.accesses++
@@ -637,6 +642,8 @@ func (s *AddrSpace) fault(r *Region, ci int, core topo.CoreID, off uint64) Acces
 // mapPage establishes the mapping for the page containing off with
 // first-touch placement (the mutation half of fault, shared with the
 // deferred replay in ApplyFault).
+//
+//lpnuma:noalloc every fault maps through here, including the alloc phase's 2 MB claims; only a split chunk's first 4 KB page allocates (ensureSubs)
 func (s *AddrSpace) mapPage(r *Region, ci int, core topo.CoreID, off uint64) AccessResult {
 	size := r.faultSize(ci)
 	node := s.placeNode(core, size)
@@ -661,11 +668,13 @@ func (s *AddrSpace) mapPage(r *Region, ci int, core topo.CoreID, off uint64) Acc
 			if err := s.Phys.Allocate(node, size); err != nil {
 				alt := s.emptiestNode()
 				if err := s.Phys.Allocate(alt, size); err != nil {
+					//lpnuma:alloc-ok panic path: the process is already dead
 					panic(fmt.Sprintf("vm: machine out of memory mapping %s", r.Name))
 				}
 				node = alt
 			}
 		} else {
+			//lpnuma:alloc-ok panic path: the process is already dead
 			panic(fmt.Sprintf("vm: machine out of memory mapping %s", r.Name))
 		}
 	}
@@ -679,9 +688,6 @@ func (s *AddrSpace) mapPage(r *Region, ci int, core topo.CoreID, off uint64) Acc
 		r.count2M++
 	} else {
 		c.ensureSubs()
-		if c.state == stateUnmapped {
-			c.state = state4K
-		}
 		sub := int(off>>subShift) & (SubsPerChunk - 1)
 		c.mapSub(sub, node)
 		res = AccessResult{Node: node, PageSize: mem.Size4K, Page: PageID{r, ci, sub}}

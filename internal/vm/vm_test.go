@@ -197,6 +197,43 @@ func TestSplitChunk(t *testing.T) {
 	}
 }
 
+// TestUnmapLastSubUnmapsChunk pins the split record's lifecycle: a
+// split chunk keeps 4 KB granularity while any of its pages is mapped,
+// and releasing the last one unmaps the chunk, so its next first touch
+// may take a 2 MB fault again.
+func TestUnmapLastSubUnmapsChunk(t *testing.T) {
+	s := thpSpace()
+	r := s.Mmap("heap", 4<<20, true)
+	r.Access(0, 0, 0)
+	if _, ok := r.SplitChunk(0, DefaultOpCosts()); !ok {
+		t.Fatal("split failed")
+	}
+	last := uint64(mem.Size2M) - uint64(mem.Size4K)
+	r.Unmap(0, last)
+	if info := r.ChunkInfo(0); info.State != Mapped4K || info.MappedSubs != 1 {
+		t.Fatalf("after freeing all but one page: %+v", info)
+	}
+	if run := r.ClassifyAllocRun(0, []uint32{0}); run.Kind != AllocRunFault4K {
+		t.Fatalf("split chunk classifies as %+v, want a 4 KB fault", run)
+	}
+	r.Unmap(last, uint64(mem.Size2M))
+	if info := r.ChunkInfo(0); info.State != Unmapped || r.chunks[0].subs != nil {
+		t.Fatalf("after freeing the last page: %+v, split record kept %v", info, r.chunks[0].subs != nil)
+	}
+	if got := s.Phys.Allocated(0); got != 0 {
+		t.Fatalf("allocated = %d after freeing every page", got)
+	}
+	if _, st := r.PeekRecord(0, 0, false); st != PeekUnmappedChunk {
+		t.Fatalf("PeekRecord status %d, want PeekUnmappedChunk", st)
+	}
+	if run := r.ClassifyAllocRun(0, []uint32{0, 1}); run.Kind != AllocRunFault2M || run.N != 1 {
+		t.Fatalf("unmapped chunk classifies as %+v, want a single 2 MB claim", run)
+	}
+	if res := r.Access(0, 0, 0); !res.Faulted || res.PageSize != mem.Size2M {
+		t.Fatalf("first touch after the unmap: %+v, want a 2 MB fault", res)
+	}
+}
+
 func TestInterleaveSubs(t *testing.T) {
 	s := thpSpace()
 	r := s.Mmap("heap", 4<<20, true)

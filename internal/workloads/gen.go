@@ -232,40 +232,24 @@ type AllocTouch struct {
 // NextAlloc returns thread t's next first-touch, or ok=false when t has
 // finished its share of the allocation phase. Regions are initialized in
 // declaration order by their statically assigned threads; the engine's
-// time-sliced rounds decide who reaches each 2 MB chunk first. The
-// cursor walks the thread's precomputed page list, so each call is O(1).
+// time-sliced rounds decide who reaches each 2 MB chunk first. It is
+// PeekAllocRun plus AdvanceAlloc(t, 1), so each call is O(1).
 func (in *Instance) NextAlloc(t int) (AllocTouch, bool) {
-	for in.allocRegion[t] < len(in.Regions) {
-		br := in.Regions[in.allocRegion[t]]
-		if !br.Spec.SkipInit {
-			own := br.initPages[t]
-			if i := in.allocPage[t]; i < uint64(len(own)) {
-				in.allocPage[t] = i + 1
-				return in.touch(br, uint64(own[i])), true
-			}
-		}
-		in.allocRegion[t]++
-		in.allocPage[t] = 0
+	br, pages, ok := in.PeekAllocRun(t)
+	if !ok {
+		return AllocTouch{}, false
 	}
-	return AllocTouch{}, false
-}
-
-func (in *Instance) touch(br *BuiltRegion, p uint64) AllocTouch {
-	w := br.Spec.InitTouchWeight
-	if w <= 0 {
-		w = 128
-	}
-	return AllocTouch{Region: br, Off: p * uint64(mem.Size4K), Weight: w}
+	in.AdvanceAlloc(t, 1)
+	return AllocTouch{Region: br, Off: uint64(pages[0]) * uint64(mem.Size4K), Weight: TouchWeight(br)}, true
 }
 
 // PeekAllocRun returns thread t's current region together with its
 // remaining ascending first-touch pages there, without consuming any of
 // them — the batched allocation path classifies a leading run of this
 // slice and then consumes exactly what it committed via AdvanceAlloc.
-// Like NextAlloc, it walks the cursor past SkipInit and exhausted
-// regions (that advance is idempotent, so peeking stays side-effect free
-// from the caller's point of view); ok=false means t's allocation work
-// is complete.
+// It walks the cursor past SkipInit and exhausted regions (that advance
+// is idempotent, so peeking stays side-effect free from the caller's
+// point of view); ok=false means t's allocation work is complete.
 func (in *Instance) PeekAllocRun(t int) (*BuiltRegion, []uint32, bool) {
 	for in.allocRegion[t] < len(in.Regions) {
 		br := in.Regions[in.allocRegion[t]]
@@ -287,8 +271,8 @@ func (in *Instance) AdvanceAlloc(t, k int) {
 	in.allocPage[t] += uint64(k)
 }
 
-// TouchWeight returns the steady-equivalent access weight NextAlloc
-// would assign a first-touch of br.
+// TouchWeight returns the steady-equivalent access weight of one
+// first-touch of br.
 func TouchWeight(br *BuiltRegion) float64 {
 	w := br.Spec.InitTouchWeight
 	if w <= 0 {
