@@ -1,12 +1,16 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
+	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -54,13 +58,19 @@ type Server struct {
 	admit    chan struct{}
 	shed     atomic.Uint64
 	draining atomic.Bool
+
+	// encoded holds each answered cell's result JSON by content
+	// address. A cell's result never changes, so every later answer
+	// is written from these bytes instead of re-encoding the result.
+	encMu   sync.Mutex
+	encoded map[runcache.Key][]byte
 }
 
 // New builds a server, opening (and recovering) the persistent cache
 // when configured. Close releases the cache log.
 func New(cfg Config) (*Server, error) {
 	sched := runcache.New(cfg.Workers)
-	s := &Server{cfg: cfg, sched: sched}
+	s := &Server{cfg: cfg, sched: sched, encoded: map[runcache.Key][]byte{}}
 	if cfg.MaxInflight <= 0 {
 		cfg.MaxInflight = 4 * sched.Workers()
 		s.cfg.MaxInflight = cfg.MaxInflight
@@ -181,7 +191,18 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeRunError(w, r, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, RunResponse{Result: results[0], Cached: stats.Runs == 0})
+	res, err := s.resultJSON(cell, results[0])
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	// The body is RunResponse's encoding, spelled out.
+	body := make([]byte, 0, len(res)+len(`{"result":,"cached":false}`)+1)
+	body = append(body, `{"result":`...)
+	body = append(body, res...)
+	body = append(body, `,"cached":`...)
+	body = strconv.AppendBool(body, stats.Runs == 0)
+	writeBody(w, append(body, "}\n"...))
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -203,7 +224,52 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeRunError(w, r, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, SweepResponse{Results: results, Stats: stats})
+	st, err := encodeJSON(stats)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	encoded := make([][]byte, len(results))
+	n := len(`{"results":[],"stats":}`) + len(st) + 1
+	for i, res := range results {
+		if encoded[i], err = s.resultJSON(cells[i], res); err != nil {
+			writeError(w, http.StatusInternalServerError, err.Error())
+			return
+		}
+		n += len(encoded[i]) + 1
+	}
+	// The body is SweepResponse's encoding, spelled out.
+	body := make([]byte, 0, n)
+	body = append(body, `{"results":[`...)
+	for i, res := range encoded {
+		if i > 0 {
+			body = append(body, ',')
+		}
+		body = append(body, res...)
+	}
+	body = append(body, `],"stats":`...)
+	body = append(body, st...)
+	writeBody(w, append(body, "}\n"...))
+}
+
+// resultJSON returns the JSON of res, the scheduler's answer for cell,
+// encoding it only on the cell's first answer.
+func (s *Server) resultJSON(cell runner.Request, res sim.Result) ([]byte, error) {
+	k := runcache.KeyOf(cell)
+	s.encMu.Lock()
+	b, ok := s.encoded[k]
+	s.encMu.Unlock()
+	if ok {
+		return b, nil
+	}
+	b, err := encodeJSON(res)
+	if err != nil {
+		return nil, fmt.Errorf("serve: encode %s: %w", k, err)
+	}
+	s.encMu.Lock()
+	s.encoded[k] = b
+	s.encMu.Unlock()
+	return b, nil
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -228,17 +294,58 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// cellRequest validates names eagerly — resolution errors are the
-// caller's fault and must answer 400 before any simulation is admitted
-// to the pool — and builds the runner request.
+// knownNames holds the daemon's valid names, built once: a cell's names
+// are checked with three lookups instead of building a topology, a
+// workload spec and the policy list. The tables only accelerate: a name
+// they lack is resolved by its own package, which gives the error
+// message and sentinel.
+var knownNames = sync.OnceValue(func() nameTables {
+	return nameTables{
+		machines:  setOf("A", "a", "B", "b"), // runner.MachineByName's spellings
+		workloads: setOf(workloads.Names()...),
+		policies:  setOf(policy.Names()...),
+	}
+})
+
+type nameTables struct {
+	machines, workloads, policies map[string]bool
+}
+
+func setOf(names ...string) map[string]bool {
+	set := make(map[string]bool, len(names))
+	for _, n := range names {
+		set[n] = true
+	}
+	return set
+}
+
+// checkNames validates a cell's names eagerly — resolution errors are
+// the caller's fault and must answer 400 before any simulation is
+// admitted to the pool.
+func checkNames(machine, workload, pol string) error {
+	known := knownNames()
+	if !known.machines[machine] {
+		if _, err := runner.MachineByName(machine); err != nil {
+			return err
+		}
+	}
+	if !known.workloads[workload] {
+		if _, err := workloads.ByName(workload); err != nil {
+			return err
+		}
+	}
+	if !known.policies[pol] {
+		if _, err := policy.SpecByName(pol); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// cellRequest validates a cell's names and settings and builds the
+// runner request.
 func cellRequest(machine, workload, pol string, seed uint64, mode string, scale float64) (runner.Request, error) {
-	if _, err := runner.MachineByName(machine); err != nil {
-		return runner.Request{}, err
-	}
-	if _, err := workloads.ByName(workload); err != nil {
-		return runner.Request{}, err
-	}
-	if _, err := policy.SpecByName(pol); err != nil {
+	if err := checkNames(machine, workload, pol); err != nil {
 		return runner.Request{}, err
 	}
 	req := runner.Request{Machine: machine, Workload: workload, Policy: pol, Seed: seed}
@@ -298,13 +405,29 @@ func sweepCells(req SweepRequest) ([]runner.Request, error) {
 
 // decodeBody parses a bounded JSON body, answering 400 on garbage.
 func decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
+	if err := decodeRequest(http.MaxBytesReader(w, r.Body, maxBodyBytes), dst); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return false
 	}
 	return true
+}
+
+// errTrailingData rejects a body with more than whitespace after its
+// request object.
+var errTrailingData = errors.New("data after the request object")
+
+// decodeRequest parses exactly one JSON request object from r; unknown
+// fields and anything but whitespace after the object are errors.
+func decodeRequest(r io.Reader, dst any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(dst); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errTrailingData
+	}
+	return nil
 }
 
 // writeRunError maps a simulation failure to a status: caller mistakes
@@ -333,4 +456,25 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
 	_ = enc.Encode(v) // the client is the only one who'd see this error
+}
+
+// encodeJSON returns v as writeJSON's encoder writes it, without the
+// trailing newline.
+func encodeJSON(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(v); err != nil {
+		return nil, err
+	}
+	return bytes.Clone(bytes.TrimSuffix(buf.Bytes(), []byte("\n"))), nil
+}
+
+// writeBody answers 200 with a JSON body assembled from encodeJSON
+// pieces, byte for byte what writeJSON would write for the same value.
+func writeBody(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
 }

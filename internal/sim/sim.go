@@ -24,6 +24,8 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"math"
+	"strconv"
 
 	"repro/internal/cache"
 	"repro/internal/ibs"
@@ -121,16 +123,54 @@ func DefaultConfig() Config {
 // (enforced by test). runcache's TestKeyCoversEveryConfigField checks
 // the coverage by reflection, and TestCfgHashPinned pins the addresses
 // existing cache logs were written under, so a recalibration fails there.
+//
+// The calibration's part of the serialization is formatted once
+// (hashMid, hashTail). The per-run fields are appended with strconv,
+// whose shortest 'g' form is fmt's %g for a finite non-negative float,
+// so a daemon's cache lookup formats nothing; a negative or non-finite
+// WorkScale takes the fmt path the format string spells out.
 func (c Config) Hash() uint64 {
-	ib := ibs.DefaultConfig()
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%g|%d|%d|%g|%d|%g|%g|%d|%g|%g|%g|%d",
-		c.Mode, epochSeconds, steadySamples, analyticCensus,
-		allocRoundCycles, maxAllocPerEpoch, maxSimSeconds,
-		c.WorkScale, c.Seed,
-		ib.Rate, ib.RecordRate, ib.CyclesPerSample, ib.MaxPerNode)
-	return h.Sum64()
+	w := c.WorkScale
+	if math.Signbit(w) || math.IsNaN(w) || math.IsInf(w, 0) {
+		ib := ibs.DefaultConfig()
+		h := fnv.New64a()
+		fmt.Fprintf(h, "%d|%g|%d|%d|%g|%d|%g|%g|%d|%g|%g|%g|%d",
+			c.Mode, epochSeconds, steadySamples, analyticCensus,
+			allocRoundCycles, maxAllocPerEpoch, maxSimSeconds,
+			c.WorkScale, c.Seed,
+			ib.Rate, ib.RecordRate, ib.CyclesPerSample, ib.MaxPerNode)
+		return h.Sum64()
+	}
+	var buf [128]byte
+	b := strconv.AppendUint(buf[:0], uint64(c.Mode), 10)
+	b = append(b, hashMid...)
+	b = strconv.AppendFloat(b, w, 'g', -1, 64)
+	b = append(b, '|')
+	b = strconv.AppendUint(b, c.Seed, 10)
+	b = append(b, hashTail...)
+	h := uint64(fnvOffset64)
+	for _, x := range b {
+		h ^= uint64(x)
+		h *= fnvPrime64
+	}
+	return h
 }
+
+// hashMid and hashTail are the calibration's share of Hash's format:
+// the constants between Mode and WorkScale, and the IBS defaults after
+// Seed, each with its separators.
+var hashMid, hashTail = func() (string, string) {
+	ib := ibs.DefaultConfig()
+	return fmt.Sprintf("|%g|%d|%d|%g|%d|%g|", epochSeconds, steadySamples, analyticCensus,
+			allocRoundCycles, maxAllocPerEpoch, maxSimSeconds),
+		fmt.Sprintf("|%g|%g|%g|%d", ib.Rate, ib.RecordRate, ib.CyclesPerSample, ib.MaxPerNode)
+}()
+
+// FNV-1a's 64-bit parameters (hash/fnv).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
 
 // OS is the policy-side interface: a policy assembles the THP setting and
 // daemons (khugepaged, Carrefour, Carrefour-LP) for one run.

@@ -23,10 +23,11 @@ import "repro/internal/cache"
 //     pages or placed memory during the benign early phase are wrong
 //     afterwards, and only continuous monitoring recovers.
 
+// dynamic lists the constructors of the event-timeline workloads.
+var dynamic = []func() Spec{WCChurn, CGShift}
+
 // Dynamic returns the event-timeline workloads.
-func Dynamic() []Spec {
-	return []Spec{WCChurn(), CGShift()}
-}
+func Dynamic() []Spec { return specsOf(dynamic) }
 
 // WCChurn is the Metis word-count shape with the allocation lifecycle
 // the real program has: a huge intermediate arena built during the map

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/cache"
 )
@@ -19,13 +20,24 @@ const (
 	gib = 1 << 30
 )
 
+// suite lists the constructors of Figure 1's 19 benchmarks in the
+// paper's order.
+var suite = []func() Spec{
+	BT, CG, DC, EP, FT, IS, LU, MG, SP,
+	UAB, UAC, WC, WR, Kmeans, MatrixMultiply,
+	PCA, Wrmem, SSCA, SPECjbb,
+}
+
 // Suite returns the 19 benchmarks of Figure 1 in the paper's order.
-func Suite() []Spec {
-	return []Spec{
-		BT(), CG(), DC(), EP(), FT(), IS(), LU(), MG(), SP(),
-		UAB(), UAC(), WC(), WR(), Kmeans(), MatrixMultiply(),
-		PCA(), Wrmem(), SSCA(), SPECjbb(),
+func Suite() []Spec { return specsOf(suite) }
+
+// specsOf calls each constructor once, in order.
+func specsOf(ctors []func() Spec) []Spec {
+	out := make([]Spec, len(ctors))
+	for i, ctor := range ctors {
+		out[i] = ctor()
 	}
+	return out
 }
 
 // ReducedSet returns the applications whose NUMA metrics (LAR or
@@ -45,25 +57,32 @@ func UnaffectedSet() []Spec {
 // engine failure (the serve layer answers it with HTTP 400).
 var ErrUnknownWorkload = errors.New("workloads: unknown benchmark")
 
-// ByName finds a spec by its paper name (e.g. "CG.D", "SSCA.20").
+// ByName finds a spec by its paper name (e.g. "CG.D", "SSCA.20"). It
+// builds only the named spec, and a fresh one on every call, because an
+// engine mutates its Spec's slices.
 func ByName(name string) (Spec, error) {
-	for _, s := range append(append(Suite(), Streamcluster()), Dynamic()...) {
-		if s.Name == name {
-			return s, nil
-		}
+	if ctor, ok := ctorByName()[name]; ok {
+		return ctor(), nil
 	}
 	return Spec{}, fmt.Errorf("%w %q", ErrUnknownWorkload, name)
 }
 
-// Names lists every available benchmark name in suite order.
-func Names() []string {
-	var out []string
-	for _, s := range Suite() {
-		out = append(out, s.Name)
+// ctorByName maps every benchmark name to its constructor: the suite,
+// streamcluster and the dynamic workloads, built once on first use.
+var ctorByName = sync.OnceValue(func() map[string]func() Spec {
+	all := append(append(append([]func() Spec(nil), suite...), Streamcluster), dynamic...)
+	m := make(map[string]func() Spec, len(all))
+	for _, ctor := range all {
+		m[ctor().Name] = ctor
 	}
-	out = append(out, Streamcluster().Name)
-	for _, s := range Dynamic() {
-		out = append(out, s.Name)
+	return m
+})
+
+// Names lists every available benchmark name, sorted.
+func Names() []string {
+	out := make([]string, 0, len(ctorByName()))
+	for name := range ctorByName() {
+		out = append(out, name)
 	}
 	sort.Strings(out)
 	return out

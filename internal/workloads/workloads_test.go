@@ -1,6 +1,8 @@
 package workloads
 
 import (
+	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/cache"
@@ -87,11 +89,26 @@ func TestByName(t *testing.T) {
 	if len(Names()) != 22 {
 		t.Fatalf("Names() has %d entries, want 22", len(Names()))
 	}
-	for _, s := range Dynamic() {
+	for _, s := range append(append(Suite(), Streamcluster()), Dynamic()...) {
 		got, err := ByName(s.Name)
-		if err != nil || got.Name != s.Name {
+		if err != nil || !reflect.DeepEqual(got, s) {
 			t.Fatalf("ByName(%s) = %v, %v", s.Name, got.Name, err)
 		}
+	}
+	if _, err := ByName("nope"); !errors.Is(err, ErrUnknownWorkload) || err.Error() != `workloads: unknown benchmark "nope"` {
+		t.Fatalf("ByName(nope) error = %v", err)
+	}
+}
+
+// TestByNameReturnsFreshSpec: engines mutate a Spec's slices, so a
+// mutation must not reach the next ByName call.
+func TestByNameReturnsFreshSpec(t *testing.T) {
+	a, _ := ByName("WC.churn")
+	a.Regions[0].Bytes = 1
+	a.Events[0].AtWorkFrac = 0.99
+	b, _ := ByName("WC.churn")
+	if !reflect.DeepEqual(b, WCChurn()) {
+		t.Fatal("a mutated ByName spec leaked into the next call")
 	}
 }
 
