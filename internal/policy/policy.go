@@ -38,6 +38,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/sim"
 )
@@ -135,15 +136,25 @@ func specs() []Spec {
 // 400).
 var ErrUnknownPolicy = errors.New("policy: unknown policy")
 
-// SpecByName returns the declarative spec of a named policy.
+// SpecByName returns the declarative spec of a named policy. Specs are
+// built once and shared, so callers must not modify what a spec's
+// pointer fields point at (Build only reads them).
 func SpecByName(name string) (Spec, error) {
-	for _, s := range specs() {
-		if s.Name == name {
-			return s, nil
-		}
+	if s, ok := specByName()[name]; ok {
+		return s, nil
 	}
 	return Spec{}, fmt.Errorf("%w %q", ErrUnknownPolicy, name)
 }
+
+// specByName maps every policy name to its spec, built on first use.
+var specByName = sync.OnceValue(func() map[string]Spec {
+	all := specs()
+	m := make(map[string]Spec, len(all))
+	for _, s := range all {
+		m[s.Name] = s
+	}
+	return m
+})
 
 // ByName constructs a fresh policy instance by name.
 func ByName(name string) (sim.OS, error) {

@@ -272,6 +272,14 @@ type batchProgress struct {
 // concurrent batch is interested in it (cells another batch shares run
 // on). Cells that completed before the cancellation remain cached.
 func (s *Scheduler) ResultsContext(ctx context.Context, reqs []runner.Request) ([]sim.Result, Stats, error) {
+	out, _, stats, err := s.KeyedResultsContext(ctx, reqs)
+	return out, stats, err
+}
+
+// KeyedResultsContext is ResultsContext that also returns each request's
+// Key, in request order, for callers that index their own per-cell state
+// by content address.
+func (s *Scheduler) KeyedResultsContext(ctx context.Context, reqs []runner.Request) ([]sim.Result, []Key, Stats, error) {
 	keys := make([]Key, len(reqs))
 	var fresh []Key // cells this batch must execute, in request order
 	var stats Stats
@@ -342,14 +350,14 @@ func (s *Scheduler) ResultsContext(ctx context.Context, reqs []runner.Request) (
 		select {
 		case <-c.done:
 		case <-ctx.Done():
-			return nil, stats, ctx.Err()
+			return nil, nil, stats, ctx.Err()
 		}
 		if c.err != nil {
-			return nil, stats, fmt.Errorf("runcache: cell %s: %w", k, c.err)
+			return nil, nil, stats, fmt.Errorf("runcache: cell %s: %w", k, c.err)
 		}
 		out[i] = c.res
 	}
-	return out, stats, nil
+	return out, keys, stats, nil
 }
 
 // runCell executes one fresh cell under its own context, persists the

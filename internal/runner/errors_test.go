@@ -3,6 +3,7 @@ package runner
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/policy"
@@ -25,6 +26,22 @@ func TestResolutionErrorsAreTyped(t *testing.T) {
 	}
 	if _, err := Run(Request{Machine: "A", Workload: "CG.D", Policy: "nope"}); !errors.Is(err, policy.ErrUnknownPolicy) {
 		t.Fatalf("Run(bad policy) = %v, want policy.ErrUnknownPolicy", err)
+	}
+}
+
+// TestCheckNamesMatchesNewEngine: CheckNames accepts exactly the names
+// NewEngine resolves and fails with NewEngine's error, in its order.
+func TestCheckNamesMatchesNewEngine(t *testing.T) {
+	for _, m := range []string{"A", "a", "B", "b", "C", "", " A", "AA"} {
+		for _, wl := range []string{"EP.C", "nope"} {
+			for _, p := range []string{"Linux4K", "nope"} {
+				req := Request{Machine: m, Workload: wl, Policy: p, Cfg: quickCfg()}
+				_, engErr := NewEngine(req)
+				if err := req.CheckNames(); fmt.Sprint(err) != fmt.Sprint(engErr) {
+					t.Errorf("%s/%s/%s: CheckNames = %v, NewEngine = %v", m, wl, p, err, engErr)
+				}
+			}
+		}
 	}
 }
 

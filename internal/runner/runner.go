@@ -32,16 +32,33 @@ type Request struct {
 	Cfg *sim.Config
 }
 
+// machines maps each accepted machine spelling to its constructor.
+var machines = map[string]func() *topo.Machine{
+	"A": topo.MachineA, "a": topo.MachineA,
+	"B": topo.MachineB, "b": topo.MachineB,
+}
+
 // MachineByName resolves the paper's machine names.
 func MachineByName(name string) (*topo.Machine, error) {
-	switch name {
-	case "A", "a":
-		return topo.MachineA(), nil
-	case "B", "b":
-		return topo.MachineB(), nil
-	default:
+	ctor, ok := machines[name]
+	if !ok {
 		return nil, fmt.Errorf("%w %q (want A or B)", ErrUnknownMachine, name)
 	}
+	return ctor(), nil
+}
+
+// CheckNames resolves the request's names, in NewEngine's order, without
+// building anything: nil, or the error NewEngine would return for them.
+func (req Request) CheckNames() error {
+	if _, ok := machines[req.Machine]; !ok {
+		_, err := MachineByName(req.Machine)
+		return err
+	}
+	if err := workloads.CheckName(req.Workload); err != nil {
+		return err
+	}
+	_, err := policy.SpecByName(req.Policy)
+	return err
 }
 
 // Run executes one simulation.

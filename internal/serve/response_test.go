@@ -43,7 +43,7 @@ func postRaw(t *testing.T, url, body string) (int, []byte, int64) {
 	return resp.StatusCode, data, resp.ContentLength
 }
 
-// TestResponsesMatchEncoder: the hand-assembled /v1/run and /v1/sweep
+// TestResponsesMatchEncoder: the frame-written /v1/run and /v1/sweep
 // bodies are byte for byte the json.Encoder output of RunResponse and
 // SweepResponse, for a miss, a hit (through a differently spelled
 // machine with the same content address) and a sweep that mixes cached,
@@ -156,32 +156,9 @@ func TestTrailingDataAnswers400(t *testing.T) {
 	}
 }
 
-// TestNameTablesMatchResolvers: every name the daemon's tables accept
-// resolves in its own package, and a name outside them still gets the
-// package's own error message and sentinel.
-func TestNameTablesMatchResolvers(t *testing.T) {
-	known := knownNames()
-	for n := range known.machines {
-		if _, err := runner.MachineByName(n); err != nil {
-			t.Errorf("machine table holds %q: %v", n, err)
-		}
-	}
-	for i := 0; i < 256; i++ { // every one-byte spelling
-		n := string([]byte{byte(i)})
-		if _, err := runner.MachineByName(n); (err == nil) != known.machines[n] {
-			t.Errorf("machine %q: table %v, resolver error %v", n, known.machines[n], err)
-		}
-	}
-	for n := range known.workloads {
-		if _, err := workloads.ByName(n); err != nil {
-			t.Errorf("workload table holds %q: %v", n, err)
-		}
-	}
-	for n := range known.policies {
-		if _, err := policy.SpecByName(n); err != nil {
-			t.Errorf("policy table holds %q: %v", n, err)
-		}
-	}
+// TestCellRequestNameErrors: a bad name answers with its own
+// package's error message and sentinel.
+func TestCellRequestNameErrors(t *testing.T) {
 	for _, tc := range []struct {
 		machine, workload, pol string
 		sentinel               error

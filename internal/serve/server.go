@@ -186,23 +186,26 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	results, stats, err := s.sched.ResultsContext(r.Context(), []runner.Request{cell})
+	results, keys, stats, err := s.sched.KeyedResultsContext(r.Context(), []runner.Request{cell})
 	if err != nil {
 		writeRunError(w, r, err)
 		return
 	}
-	res, err := s.resultJSON(cell, results[0])
+	res, err := s.resultJSON(keys[0], results[0])
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	// The body is RunResponse's encoding, spelled out.
-	body := make([]byte, 0, len(res)+len(`{"result":,"cached":false}`)+1)
-	body = append(body, `{"result":`...)
-	body = append(body, res...)
-	body = append(body, `,"cached":`...)
-	body = strconv.AppendBool(body, stats.Runs == 0)
-	writeBody(w, append(body, "}\n"...))
+	frames, err := runFrames()
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	f := frames[0]
+	if stats.Runs == 0 {
+		f = frames[1]
+	}
+	writeBody(w, f.body(res))
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -219,43 +222,32 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	results, stats, err := s.sched.ResultsContext(r.Context(), cells)
+	results, keys, stats, err := s.sched.KeyedResultsContext(r.Context(), cells)
 	if err != nil {
 		writeRunError(w, r, err)
 		return
 	}
-	st, err := encodeJSON(stats)
+	// Results nil encodes as null: the frame is cut there and opens and
+	// closes the list itself.
+	f, err := frameOf(SweepResponse{Stats: stats}, []byte("null"))
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
+	f.before, f.after = append(f.before, '['), append([]byte{']'}, f.after...)
 	encoded := make([][]byte, len(results))
-	n := len(`{"results":[],"stats":}`) + len(st) + 1
 	for i, res := range results {
-		if encoded[i], err = s.resultJSON(cells[i], res); err != nil {
+		if encoded[i], err = s.resultJSON(keys[i], res); err != nil {
 			writeError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
-		n += len(encoded[i]) + 1
 	}
-	// The body is SweepResponse's encoding, spelled out.
-	body := make([]byte, 0, n)
-	body = append(body, `{"results":[`...)
-	for i, res := range encoded {
-		if i > 0 {
-			body = append(body, ',')
-		}
-		body = append(body, res...)
-	}
-	body = append(body, `],"stats":`...)
-	body = append(body, st...)
-	writeBody(w, append(body, "}\n"...))
+	writeBody(w, f.body(encoded...))
 }
 
-// resultJSON returns the JSON of res, the scheduler's answer for cell,
-// encoding it only on the cell's first answer.
-func (s *Server) resultJSON(cell runner.Request, res sim.Result) ([]byte, error) {
-	k := runcache.KeyOf(cell)
+// resultJSON returns the JSON of res, the scheduler's answer for the
+// cell at k, encoding it only on the cell's first answer.
+func (s *Server) resultJSON(k runcache.Key, res sim.Result) ([]byte, error) {
 	s.encMu.Lock()
 	b, ok := s.encoded[k]
 	s.encMu.Unlock()
@@ -270,6 +262,59 @@ func (s *Server) resultJSON(cell runner.Request, res sim.Result) ([]byte, error)
 	s.encoded[k] = b
 	s.encMu.Unlock()
 	return b, nil
+}
+
+// A frame is a response's encoding cut around its results: a body is
+// before, the results' JSON joined by commas, then after. Answers are
+// written from stored result JSON this way, and the response types'
+// struct tags stay the one spelling of the wire format.
+type frame struct{ before, after []byte }
+
+// frameOf encodes resp and cuts the encoding around placeholder, the
+// encoding of resp's results.
+func frameOf(resp any, placeholder []byte) (frame, error) {
+	enc, err := encodeJSON(resp)
+	if err != nil {
+		return frame{}, err
+	}
+	before, after, ok := bytes.Cut(enc, placeholder)
+	if !ok {
+		return frame{}, errors.New("serve: response encoding lacks its results")
+	}
+	return frame{before, after}, nil
+}
+
+// runFrames holds RunResponse's frame for Cached false and true, cut
+// around the zero sim.Result.
+var runFrames = sync.OnceValues(func() (f [2]frame, err error) {
+	zero, err := encodeJSON(sim.Result{})
+	if err != nil {
+		return f, err
+	}
+	for i, cached := range []bool{false, true} {
+		if f[i], err = frameOf(RunResponse{Cached: cached}, zero); err != nil {
+			return f, err
+		}
+	}
+	return f, nil
+})
+
+// body is the response for results, newline-terminated as
+// json.Encoder writes it.
+func (f frame) body(results ...[]byte) []byte {
+	n := len(f.before) + len(results) + len(f.after) + 1
+	for _, res := range results {
+		n += len(res)
+	}
+	b := append(make([]byte, 0, n), f.before...)
+	for i, res := range results {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, res...)
+	}
+	b = append(b, f.after...)
+	return append(b, '\n')
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -294,61 +339,15 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// knownNames holds the daemon's valid names, built once: a cell's names
-// are checked with three lookups instead of building a topology, a
-// workload spec and the policy list. The tables only accelerate: a name
-// they lack is resolved by its own package, which gives the error
-// message and sentinel.
-var knownNames = sync.OnceValue(func() nameTables {
-	return nameTables{
-		machines:  setOf("A", "a", "B", "b"), // runner.MachineByName's spellings
-		workloads: setOf(workloads.Names()...),
-		policies:  setOf(policy.Names()...),
-	}
-})
-
-type nameTables struct {
-	machines, workloads, policies map[string]bool
-}
-
-func setOf(names ...string) map[string]bool {
-	set := make(map[string]bool, len(names))
-	for _, n := range names {
-		set[n] = true
-	}
-	return set
-}
-
-// checkNames validates a cell's names eagerly — resolution errors are
-// the caller's fault and must answer 400 before any simulation is
-// admitted to the pool.
-func checkNames(machine, workload, pol string) error {
-	known := knownNames()
-	if !known.machines[machine] {
-		if _, err := runner.MachineByName(machine); err != nil {
-			return err
-		}
-	}
-	if !known.workloads[workload] {
-		if _, err := workloads.ByName(workload); err != nil {
-			return err
-		}
-	}
-	if !known.policies[pol] {
-		if _, err := policy.SpecByName(pol); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // cellRequest validates a cell's names and settings and builds the
 // runner request.
 func cellRequest(machine, workload, pol string, seed uint64, mode string, scale float64) (runner.Request, error) {
-	if err := checkNames(machine, workload, pol); err != nil {
+	req := runner.Request{Machine: machine, Workload: workload, Policy: pol, Seed: seed}
+	// Resolution errors are the caller's fault and must answer 400
+	// before any simulation is admitted to the pool.
+	if err := req.CheckNames(); err != nil {
 		return runner.Request{}, err
 	}
-	req := runner.Request{Machine: machine, Workload: workload, Policy: pol, Seed: seed}
 	if req.Seed == 0 {
 		req.Seed = 1
 	}
@@ -470,8 +469,8 @@ func encodeJSON(v any) ([]byte, error) {
 	return bytes.Clone(bytes.TrimSuffix(buf.Bytes(), []byte("\n"))), nil
 }
 
-// writeBody answers 200 with a JSON body assembled from encodeJSON
-// pieces, byte for byte what writeJSON would write for the same value.
+// writeBody answers 200 with a frame's body, byte for byte what
+// writeJSON would write for the same response.
 func writeBody(w http.ResponseWriter, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))

@@ -27,7 +27,7 @@ func hashFmt(c Config) uint64 {
 // equals the fmt formula for any Mode, WorkScale and Seed. The fixed
 // scales sit on and beside the points where %g switches between plain
 // and exponent form (1e-5 below, 1e6 and 1e21 above), at 0, and on the
-// values that take Hash's own fmt path (negative, -0, NaN, ±Inf).
+// signed and non-finite values (negative, -0, NaN, ±Inf).
 func TestHashMatchesFmt(t *testing.T) {
 	fixed := []float64{0, 0.02, 0.05, 0.1, 1, 5e-324, math.SmallestNonzeroFloat64, math.MaxFloat64,
 		math.Copysign(0, -1), -1, -1e-7, math.NaN(), math.Inf(1), math.Inf(-1)}

@@ -23,8 +23,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
-	"math"
 	"strconv"
 
 	"repro/internal/cache"
@@ -126,25 +124,13 @@ func DefaultConfig() Config {
 //
 // The calibration's part of the serialization is formatted once
 // (hashMid, hashTail). The per-run fields are appended with strconv,
-// whose shortest 'g' form is fmt's %g for a finite non-negative float,
-// so a daemon's cache lookup formats nothing; a negative or non-finite
-// WorkScale takes the fmt path the format string spells out.
+// whose shortest 'g' form is fmt's %g for every float64 (sign, -0, NaN
+// and ±Inf included), so a daemon's cache lookup formats nothing.
 func (c Config) Hash() uint64 {
-	w := c.WorkScale
-	if math.Signbit(w) || math.IsNaN(w) || math.IsInf(w, 0) {
-		ib := ibs.DefaultConfig()
-		h := fnv.New64a()
-		fmt.Fprintf(h, "%d|%g|%d|%d|%g|%d|%g|%g|%d|%g|%g|%g|%d",
-			c.Mode, epochSeconds, steadySamples, analyticCensus,
-			allocRoundCycles, maxAllocPerEpoch, maxSimSeconds,
-			c.WorkScale, c.Seed,
-			ib.Rate, ib.RecordRate, ib.CyclesPerSample, ib.MaxPerNode)
-		return h.Sum64()
-	}
 	var buf [128]byte
 	b := strconv.AppendUint(buf[:0], uint64(c.Mode), 10)
 	b = append(b, hashMid...)
-	b = strconv.AppendFloat(b, w, 'g', -1, 64)
+	b = strconv.AppendFloat(b, c.WorkScale, 'g', -1, 64)
 	b = append(b, '|')
 	b = strconv.AppendUint(b, c.Seed, 10)
 	b = append(b, hashTail...)

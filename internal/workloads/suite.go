@@ -64,7 +64,16 @@ func ByName(name string) (Spec, error) {
 	if ctor, ok := ctorByName()[name]; ok {
 		return ctor(), nil
 	}
-	return Spec{}, fmt.Errorf("%w %q", ErrUnknownWorkload, name)
+	return Spec{}, CheckName(name)
+}
+
+// CheckName returns ByName's error for name, or nil when ByName would
+// succeed, without building a spec.
+func CheckName(name string) error {
+	if _, ok := ctorByName()[name]; ok {
+		return nil
+	}
+	return fmt.Errorf("%w %q", ErrUnknownWorkload, name)
 }
 
 // ctorByName maps every benchmark name to its constructor: the suite,

@@ -94,9 +94,15 @@ func TestByName(t *testing.T) {
 		if err != nil || !reflect.DeepEqual(got, s) {
 			t.Fatalf("ByName(%s) = %v, %v", s.Name, got.Name, err)
 		}
+		if err := CheckName(s.Name); err != nil {
+			t.Fatalf("CheckName(%s) = %v", s.Name, err)
+		}
 	}
 	if _, err := ByName("nope"); !errors.Is(err, ErrUnknownWorkload) || err.Error() != `workloads: unknown benchmark "nope"` {
 		t.Fatalf("ByName(nope) error = %v", err)
+	}
+	if err := CheckName("nope"); !errors.Is(err, ErrUnknownWorkload) || err.Error() != `workloads: unknown benchmark "nope"` {
+		t.Fatalf("CheckName(nope) error = %v", err)
 	}
 }
 
